@@ -234,12 +234,11 @@ let abl_baselines () =
 
 let abl_greedy_selection () =
   Harness.section ~id:"ablF"
-    ~paper:"§7.3 implementation note: GreedySC max-selection, heap vs linear scan"
+    ~paper:"§7.3 implementation note: GreedySC max-selection, priority queue vs linear scan"
     ~expect:
       "the paper found heap maintenance not worth it on their data and \
-       shipped the linear re-scan; the tradeoff flips only when covers are \
-       large relative to the post count — and the bucket queue dominates \
-       both by making decrease-key O(1)";
+       shipped the linear re-scan; the bucket queue wins anyway by making \
+       decrease-key O(1)";
   List.iter
     (fun labels ->
       let inst = Workloads.one_day ~labels ~seed:42 in
@@ -258,11 +257,9 @@ let abl_greedy_selection () =
               List.length (Mqdp.Greedy_sc.solve ~selection:`Linear_scan inst lambda)
             in
             [ Printf.sprintf "%.0f" lambda_s; string_of_int size;
-              time `Linear_scan; time `Lazy_heap; time `Bucket_queue ])
+              time `Linear_scan; time `Bucket_queue ])
           [ 60.; 300.; 1800. ]
       in
-      Harness.table
-        [ "lambda(s)"; "|Z|"; "linear us/post"; "lazy-heap us/post";
-          "bucket us/post" ]
+      Harness.table [ "lambda(s)"; "|Z|"; "linear us/post"; "bucket us/post" ]
         rows)
     [ 2; 20 ]

@@ -5,9 +5,9 @@
    The "legacy" column is the pre-overhaul GreedySC, reconstructed over
    the public iterator API: closure-driven marking (iter_covered_ranges +
    iter_coverers per newly covered pair), a per-round linear argmax, and
-   list-consed picks canonicalized with List.sort_uniq. The three library
+   list-consed picks canonicalized with List.sort_uniq. The two library
    variants run the fused apply_pick kernel and differ only in selection.
-   Covers must be bit-identical across all four on every cell; the gate
+   Covers must be bit-identical across all three on every cell; the gate
    requires the default bucket-queue kernel to clear 2x legacy throughput
    on the largest instance. *)
 
@@ -41,8 +41,7 @@ let legacy_solve index =
   in
   List.sort_uniq Int.compare (loop [])
 
-let variants =
-  [ ("linear", `Linear_scan); ("heap", `Lazy_heap); ("bucket", `Bucket_queue) ]
+let variants = [ ("linear", `Linear_scan); ("bucket", `Bucket_queue) ]
 
 type cell = {
   name : string;
@@ -107,7 +106,7 @@ let run () =
   in
   Harness.table
     [ "instance/lambda"; "posts"; "legacy us/post"; "linear us/post";
-      "heap us/post"; "bucket us/post"; "bucket speedup"; "cover" ]
+      "bucket us/post"; "bucket speedup"; "cover" ]
     (List.map (fun c -> c.row) cells);
   (* The gate: the default kernel must hold >= 2x single-core throughput
      over the pre-overhaul implementation on the largest fixed-lambda

@@ -23,8 +23,7 @@ let lambda = Mqdp.Coverage.Fixed 30.
 
 let latency_table inst =
   let algorithms =
-    [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_heap; Mqdp.Solver.Scan;
-      Mqdp.Solver.Scan_plus ]
+    [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Scan; Mqdp.Solver.Scan_plus ]
   in
   let runs = 40 in
   let rows =

@@ -28,7 +28,6 @@ let tests () =
       offline "scan" Mqdp.Solver.Scan;
       offline "scan+" Mqdp.Solver.Scan_plus;
       offline "greedy-sc" Mqdp.Solver.Greedy_sc;
-      offline "greedy-sc-heap" Mqdp.Solver.Greedy_sc_heap;
       offline "greedy-sc-linear" Mqdp.Solver.Greedy_sc_linear;
       streaming "stream-scan" Mqdp.Solver.Stream_scan;
       streaming "stream-scan+" Mqdp.Solver.Stream_scan_plus;
@@ -55,8 +54,8 @@ let bytes_per_run f =
 
 (* Allocation profile of a GreedySC solve under the per-post λ of Eq. 2.
    With the pair index compiled once up front, a solve allocates only its
-   own bookkeeping (one Bytes.t of covered flags, one gain array, the heap
-   for the lazy variant) — selection itself is allocation-free. The
+   own bookkeeping (one Bytes.t of covered flags, one gain array, the
+   bucket queue) — selection itself is allocation-free. The
    "incl. compile" column re-builds the index every solve for contrast. *)
 let alloc_tests inst =
   let lambda = Mqdp.Proportional.make ~lambda0:30. inst in
@@ -75,9 +74,7 @@ let alloc_tests inst =
   Printf.printf "\nGc.allocated_bytes per solve, per-post lambda (lambda0 = 30s):\n";
   Harness.table
     [ "benchmark"; "bytes/solve (compiled)"; "bytes/solve (incl. compile)" ]
-    [ row "greedy-sc" Mqdp.Solver.Greedy_sc;
-      row "greedy-sc-heap" Mqdp.Solver.Greedy_sc_heap;
-      row "greedy-sc-linear" Mqdp.Solver.Greedy_sc_linear ]
+    [ row "greedy-sc" Mqdp.Solver.Greedy_sc; row "greedy-sc-linear" Mqdp.Solver.Greedy_sc_linear ]
 
 (* Zero-allocation gate on the compiled bucket-queue solve path (styled
    after the telemetry overhead guard: print the numbers, exit 1 on

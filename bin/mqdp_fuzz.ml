@@ -78,23 +78,19 @@ let one_round seed =
       check ~seed
         (result.Mqdp.Solver.size >= optimal)
         (Mqdp.Solver.algorithm_name algo ^ " beat the optimum"))
-    [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_heap;
-      Mqdp.Solver.Greedy_sc_linear; Mqdp.Solver.Scan; Mqdp.Solver.Scan_plus ];
+    [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_linear; Mqdp.Solver.Scan;
+      Mqdp.Solver.Scan_plus ];
   check ~seed
     (List.length (Mqdp.Scan.solve inst lambda) <= s * optimal)
     "Scan exceeded its s-approximation bound";
-  (* Kernel cross-check: the three GreedySC selection strategies promise
-     bit-identical covers; any tie-rule drift between the bucket queue,
-     the lazy heap, and the linear re-scan shows up here. *)
+  (* Kernel cross-check: the two GreedySC selection strategies promise
+     bit-identical covers; any tie-rule drift between the bucket queue and
+     the linear re-scan shows up here. *)
   let g_bucket = Mqdp.Greedy_sc.solve ~selection:`Bucket_queue inst lambda in
   let g_linear = Mqdp.Greedy_sc.solve ~selection:`Linear_scan inst lambda in
-  let g_heap = Mqdp.Greedy_sc.solve ~selection:`Lazy_heap inst lambda in
   check ~seed
     (List.equal Int.equal g_bucket g_linear)
     "bucket-queue GreedySC diverged from the linear re-scan";
-  check ~seed
-    (List.equal Int.equal g_bucket g_heap)
-    "bucket-queue GreedySC diverged from the lazy heap";
   List.iter
     (fun algo ->
       let result = Mqdp.Solver.solve_stream algo ~tau inst lambda in
@@ -138,8 +134,8 @@ let one_round seed =
       check ~seed
         (List.equal Int.equal on off)
         (Mqdp.Solver.algorithm_name algo ^ " cover changed with telemetry enabled"))
-    [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_heap;
-      Mqdp.Solver.Greedy_sc_linear; Mqdp.Solver.Scan; Mqdp.Solver.Scan_plus ];
+    [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_linear; Mqdp.Solver.Scan;
+      Mqdp.Solver.Scan_plus ];
   let governed () =
     (Mqdp.Supervisor.solve
        ~budget:(Util.Budget.create ~max_steps:(50 + (seed mod 500)) ())
@@ -465,7 +461,7 @@ let one_window_round seed =
         check ~seed
           (List.equal Int.equal got reference)
           "windowed cover diverged from the fresh Pair_index")
-      [ `Bucket_queue; `Lazy_heap; `Linear_scan ];
+      [ `Bucket_queue; `Linear_scan ];
     if seed mod 8 = 0 then begin
       let pooled =
         Util.Pool.with_pool ~jobs:4 (fun pool ->
@@ -553,6 +549,12 @@ let sim_persist ?compact_crash ~dir ~epoch engine =
     Util.Fs.remove_if_exists (sim_snap_path dir i old)
   done
 
+(* A fresh state dir, as the daemon's first boot leaves it. *)
+let sim_boot_fresh engine dir =
+  Util.Fs.atomic_write ~fsync:false ~path:(sim_manifest_path dir)
+    (Mqdp.Serve.manifest ~extra:[ ("epoch", 0); ("journal", 0) ] engine);
+  Mqdp.Serve.attach_journal ~fsync:false engine ~dir ~covered:0
+
 (* Write the next epoch's snapshots but die before the manifest commits:
    recovery must ignore the orphans and redo from the old watermark. *)
 let sim_persist_torn ~dir ~epoch engine =
@@ -568,9 +570,8 @@ let sim_reboot ~config ~dir ~epoch engine =
   Mqdp.Serve.shutdown !engine;
   engine := Mqdp.Serve.create config;
   ignore (Util.Fs.sweep_temps dir);
-  let m = Util.Fs.read (sim_manifest_path dir) in
-  let on_disk = Option.value ~default:0 (Mqdp.Serve.manifest_field m "epoch") in
-  let covered = Option.value ~default:0 (Mqdp.Serve.manifest_field m "journal") in
+  let m = Mqdp.Serve.parse_manifest (Util.Fs.read (sim_manifest_path dir)) in
+  let on_disk = List.assoc "epoch" m and covered = List.assoc "journal" m in
   epoch := on_disk;
   for i = 0 to Mqdp.Serve.shard_count !engine - 1 do
     let p = sim_snap_path dir i on_disk in
@@ -620,12 +621,7 @@ let one_serve_round seed =
   in
   let epoch = ref 0 in
   let engine = ref (Mqdp.Serve.create config) in
-  (match state_dir with
-  | None -> ()
-  | Some dir ->
-    Util.Fs.atomic_write ~fsync:false ~path:(sim_manifest_path dir)
-      (Mqdp.Serve.manifest ~extra:[ ("epoch", 0); ("journal", 0) ] !engine);
-    Mqdp.Serve.attach_journal ~fsync:false !engine ~dir ~covered:0);
+  Option.iter (sim_boot_fresh !engine) state_dir;
   Fun.protect
     ~finally:(fun () ->
       Mqdp.Serve.shutdown !engine;
@@ -1109,12 +1105,7 @@ let one_transport_round seed =
     else None
   in
   let epoch = ref 0 in
-  (match state_dir with
-  | None -> ()
-  | Some dir ->
-    Util.Fs.atomic_write ~fsync:false ~path:(sim_manifest_path dir)
-      (Mqdp.Serve.manifest ~extra:[ ("epoch", 0); ("journal", 0) ] !engine);
-    Mqdp.Serve.attach_journal ~fsync:false !engine ~dir ~covered:0);
+  Option.iter (sim_boot_fresh !engine) state_dir;
   Fun.protect
     ~finally:(fun () ->
       shutdown_engine ();

@@ -37,17 +37,35 @@
    SIGTERM/SIGINT trigger a graceful drain: stop accepting, serve every
    fully-received request, flush, close, write final snapshots, exit 0. *)
 
-let state_file dir i epoch =
-  Filename.concat dir
-    (if epoch = 0 then Printf.sprintf "shard-%d.snap" i
-     else Printf.sprintf "shard-%d.ep%d.snap" i epoch)
-
+let state_file dir i epoch = Filename.concat dir (Printf.sprintf "shard-%d.ep%d.snap" i epoch)
 let manifest_file dir = Filename.concat dir "manifest"
 
 (* The snapshot epoch the manifest last committed. Epoch 0 means "no
-   epoch snapshots yet" (a fresh dir, or one written before epochs
-   existed — its legacy shard-N.snap files still load). *)
+   snapshots yet": a fresh dir. *)
 let current_epoch = ref 0
+
+(* Boot refusals: state the daemon cannot load without losing or
+   misplacing acknowledged work (a committed snapshot's commands are no
+   longer in the compacted journal). *)
+let refuse fmt =
+  Printf.ksprintf
+    (fun s ->
+      Printf.eprintf "mqdp_serve: %s\n%!" s;
+      exit 2)
+    fmt
+
+let load_or_refuse what f =
+  try f () with
+  | Util.Fs.Corrupt why ->
+    refuse
+      "%s is corrupt (%s); booting without it would lose acknowledged work. \
+       Restore it from a backup, or point --state-dir at a fresh directory."
+      what why
+  | Util.Fs.Unsupported_version { found; expected } ->
+    refuse
+      "%s is in format %s, but this build reads v%d. State dirs from before \
+       the sealed-image format are not migrated: start with a fresh --state-dir."
+      what found expected
 
 let ensure_dir dir =
   try Unix.mkdir dir 0o755 with
@@ -85,41 +103,35 @@ let persist serve = function
       Util.Fs.remove_if_exists (state_file dir i old)
     done
 
-(* Loading a state dir under the wrong --shards would silently re-hash
-   profile names onto different shards: snapshots would load but every
-   misplaced profile's durable state would be orphaned. Refuse loudly. *)
 (* Returns the (epoch, covered-journal-watermark) pair the manifest
-   committed; writes a fresh epoch-0 manifest into an empty dir. *)
+   committed; writes a fresh epoch-0 manifest into an empty dir. Loading
+   under the wrong --shards would re-hash profile names onto other shards
+   and orphan their durable state, so that refuses too. *)
 let check_manifest serve dir =
   let path = manifest_file dir in
-  if Sys.file_exists path then begin
-    let content = Util.Fs.read path in
-    match Mqdp.Serve.parse_manifest content with
-    | Ok n when n = Mqdp.Serve.shard_count serve ->
-      ( Option.value ~default:0 (Mqdp.Serve.manifest_field content "epoch"),
-        Option.value ~default:0 (Mqdp.Serve.manifest_field content "journal") )
-    | Ok n ->
-      Printf.eprintf
-        "mqdp_serve: state dir %s was written with --shards %d, but this \
-         daemon is running with --shards %d.\n\
-         Loading would misplace every profile whose name hashes to a \
-         different shard. Re-run with --shards %d, or point --state-dir at \
-         a fresh directory.\n%!"
-        dir n (Mqdp.Serve.shard_count serve) n;
-      exit 2
-    | Error why ->
-      Printf.eprintf
-        "mqdp_serve: state dir %s has an unreadable manifest (%s); refusing \
-         to guess its shard count. Remove %s only if you are certain the \
-         snapshots match --shards %d.\n%!"
-        dir why path (Mqdp.Serve.shard_count serve);
-      exit 2
-  end
-  else begin
-    Util.Fs.atomic_write ~path
-      (Mqdp.Serve.manifest ~extra:[ ("epoch", 0); ("journal", 0) ] serve);
+  let shards = Mqdp.Serve.shard_count serve in
+  if not (Sys.file_exists path) then begin
+    Util.Fs.atomic_write ~path (Mqdp.Serve.manifest ~extra:[ ("epoch", 0); ("journal", 0) ] serve);
     (0, 0)
   end
+  else
+    let fields =
+      load_or_refuse ("manifest " ^ path) (fun () -> Mqdp.Serve.parse_manifest (Util.Fs.read path))
+    in
+    let field k =
+      match List.assoc_opt k fields with
+      | Some v -> v
+      | None -> refuse "manifest %s has no %s= line" path k
+    in
+    let n = field "shards" in
+    if n <> shards then
+      refuse
+        "state dir %s was written with --shards %d, but this daemon is running \
+         with --shards %d.\nLoading would misplace every profile whose name \
+         hashes to a different shard. Re-run with --shards %d, or point \
+         --state-dir at a fresh directory."
+        dir n shards n;
+    (field "epoch", field "journal")
 
 let load_state serve = function
   | None -> ()
@@ -134,29 +146,21 @@ let load_state serve = function
     current_epoch := epoch;
     for i = 0 to Mqdp.Serve.shard_count serve - 1 do
       let path = state_file dir i epoch in
-      if Sys.file_exists path then
-        match Mqdp.Serve.load_shard serve i (Util.Fs.read path) with
-        | () -> Printf.eprintf "mqdp_serve: restored shard %d from %s\n%!" i path
-        | exception Mqdp.Shard.Corrupt what ->
-          Printf.eprintf "mqdp_serve: shard %d snapshot corrupt (%s), starting empty\n%!"
-            i what
+      if Sys.file_exists path then begin
+        load_or_refuse
+          (Printf.sprintf "shard %d snapshot %s" i path)
+          (fun () -> Mqdp.Serve.load_shard serve i (Util.Fs.read path));
+        Printf.eprintf "mqdp_serve: restored shard %d from %s\n%!" i path
+      end
     done;
     (* Journal replay: rebuild session watermarks + response caches, and
        redo the commands newer than the snapshots just loaded. *)
-    match Mqdp.Serve.attach_journal serve ~dir ~covered with
-    | () ->
-      if Mqdp.Serve.journal_gsn serve > covered then
-        Printf.eprintf
-          "mqdp_serve: replayed session journal (%d command(s) redone)\n%!"
-          (Mqdp.Serve.journal_gsn serve - covered)
-    | exception Util.Fs.Journal.Corrupt what ->
-      Printf.eprintf
-        "mqdp_serve: session journal corrupt (%s); refusing to guess which \
-         acknowledged commands it held. Remove %s only if duplicate \
-         re-execution of retried commands is acceptable.\n%!"
-        what
-        (Filename.concat dir "sessions.journal");
-      exit 2
+    load_or_refuse
+      ("session journal " ^ Filename.concat dir "sessions.journal")
+      (fun () -> Mqdp.Serve.attach_journal serve ~dir ~covered);
+    if Mqdp.Serve.journal_gsn serve > covered then
+      Printf.eprintf "mqdp_serve: replayed session journal (%d command(s) redone)\n%!"
+        (Mqdp.Serve.journal_gsn serve - covered)
 
 let serve_channel serve state_dir ic oc =
   try

@@ -63,8 +63,6 @@ type t = {
 }
 
 exception Rejected of { id : int; what : string }
-exception Corrupt of string
-exception Unsupported_version of { found : string; expected : int }
 
 (* Registry mirrors of the per-feed counters. These count events observed
    by this process: restoring a checkpoint does NOT replay its counter
@@ -255,92 +253,94 @@ let finish t =
   es @ Online.finish t.engine
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint codec: line-oriented text, magic + version header, IEEE
-   bit-pattern floats, FNV-1a-64 checksum trailer.                     *)
+(* Checkpoint codec: a sealed image (Util.Fs.seal) of line-oriented
+   text, floats as IEEE bit patterns so round-trips are exact.         *)
 
 let magic = "mqdp-feed-checkpoint"
 let version = 2
+let corrupt = Util.Fs.corrupt
+let int_field = Util.Fs.int_field
 
-let fnv64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) prime) s;
-  !h
+(* --- field codec, shared with Profile's blob --- *)
 
-let hex_of_float f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
+let float_field f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
+
+let float_of_field s =
+  match Int64.of_string_opt ("0x" ^ s) with
+  | Some bits when String.length s = 16 -> Int64.float_of_bits bits
+  | Some _ | None -> corrupt "bad float bit pattern %S" s
+
+let labels_field ls =
+  match Label_set.to_list ls with
+  | [] -> "-"
+  | labels -> String.concat "," (List.map string_of_int labels)
+
+let labels_of_field s =
+  if s = "-" then Label_set.empty
+  else
+    let labels = List.map (int_field "labels") (String.split_on_char ',' s) in
+    if List.exists (fun a -> a < 0) labels then corrupt "negative label in post";
+    Label_set.of_list labels
+
+let post_field p =
+  Printf.sprintf "%d %s %s" p.Post.id (float_field p.Post.value) (labels_field p.Post.labels)
+
+(* A record, not [Post.make]: a post that was offered but not yet
+   admitted may carry any timestamp, NaN included. *)
+let post_of_fields = function
+  | [ id; value; labels ] ->
+    { Post.id = int_field "post id" id; value = float_of_field value; labels = labels_of_field labels }
+  | fields -> corrupt "bad post line with %d fields" (List.length fields)
 
 let policy_name = function Drop -> "drop" | Clamp -> "clamp" | Raise -> "raise"
 
-let post_fields p =
-  let labels = Label_set.to_list p.Post.labels in
-  Printf.sprintf "%d %s %s" p.Post.id (hex_of_float p.Post.value)
-    (if labels = [] then "-" else String.concat "," (List.map string_of_int labels))
-
 let checkpoint t =
-  let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  line "%s v%d" magic version;
+  Util.Fs.seal ~magic ~version @@ fun b ->
+  let line fmt = Util.Fs.line b fmt in
+  let ints key l = line "%s %d %s" key (List.length l) (String.concat " " (List.map string_of_int l)) in
   line "config %d %s %s %s %s" t.cfg.reorder_window (policy_name t.cfg.late)
     (policy_name t.cfg.duplicate) (policy_name t.cfg.non_finite)
     (match t.cfg.overload_budget with None -> "none" | Some n -> string_of_int n);
   line "counters %d %d %d %d %d %d %d %d %d %d" t.c_accepted t.c_released t.c_reordered
     t.c_late_dropped t.c_late_clamped t.c_duplicate_dropped t.c_non_finite_dropped
     t.c_non_finite_clamped t.c_rejected t.c_shed;
-  line "watermark %s %s" (hex_of_float t.watermark) (hex_of_float t.high);
+  line "watermark %s %s" (float_field t.watermark) (float_field t.high);
   let seen = Hashtbl.fold (fun id () acc -> id :: acc) t.seen [] |> List.sort Int.compare in
-  line "seen %d %s" (List.length seen) (String.concat " " (List.map string_of_int seen));
+  ints "seen" seen;
   let staged = Util.Heap.to_list t.buffer |> List.sort Post.compare_by_value in
   line "buffer %d" (List.length staged);
-  List.iter (fun p -> line "p %s" (post_fields p)) staged;
+  List.iter (fun p -> line "p %s" (post_field p)) staged;
   let s = Online.export t.engine in
-  line "engine %s %s" (hex_of_float s.Online.snap_lambda)
+  line "engine %s %s" (float_field s.Online.snap_lambda)
     (match s.Online.snap_mode with
     | Online.Instant -> "instant"
     | Online.Delayed { tau; plus } ->
-      Printf.sprintf "delayed %s %d" (hex_of_float tau) (if plus then 1 else 0));
+      Printf.sprintf "delayed %s %d" (float_field tau) (if plus then 1 else 0));
   line "last %s"
-    (match s.Online.snap_last_time with None -> "none" | Some v -> hex_of_float v);
-  line "emitted %d %s"
-    (List.length s.Online.snap_emitted)
-    (String.concat " " (List.map string_of_int s.Online.snap_emitted));
-  line "degraded %d %s"
-    (List.length s.Online.snap_degraded)
-    (String.concat " " (List.map string_of_int s.Online.snap_degraded));
+    (match s.Online.snap_last_time with None -> "none" | Some v -> float_field v);
+  ints "emitted" s.Online.snap_emitted;
+  ints "degraded" s.Online.snap_degraded;
   line "labels %d" (List.length s.Online.snap_labels);
   List.iter
     (fun ls ->
       line "label %d %d" ls.Online.snap_label (List.length ls.Online.snap_pending);
       (match ls.Online.snap_last_out with
       | None -> line "last none"
-      | Some p -> line "last %s" (post_fields p));
-      List.iter (fun p -> line "p %s" (post_fields p)) ls.Online.snap_pending)
+      | Some p -> line "last %s" (post_field p));
+      List.iter (fun p -> line "p %s" (post_field p)) ls.Online.snap_pending)
     s.Online.snap_labels;
-  (match Online.window t.engine with
+  match Online.window t.engine with
   | None -> line "window none"
   | Some w ->
     let ws = Window_index.export w in
     line "window %d %d %d %s %d" ws.Window_index.snap_expired
       (List.length ws.Window_index.snap_posts)
       (if ws.Window_index.snap_guarded then 1 else 0)
-      (hex_of_float ws.Window_index.snap_guard_value)
+      (float_field ws.Window_index.snap_guard_value)
       ws.Window_index.snap_guard_id;
-    List.iter (fun p -> line "p %s" (post_fields p)) ws.Window_index.snap_posts);
-  let body = Buffer.contents b in
-  Printf.sprintf "%schecksum %016Lx\n" body (fnv64 body)
+    List.iter (fun p -> line "p %s" (post_field p)) ws.Window_index.snap_posts
 
 (* --- parsing --- *)
-
-let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
-
-let float_of_hex s =
-  match Int64.of_string_opt ("0x" ^ s) with
-  | Some bits when String.length s = 16 -> Int64.float_of_bits bits
-  | Some _ | None -> corrupt "bad float bit pattern %S" s
-
-let int_field what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> corrupt "bad integer %S in %s" s what
 
 let policy_of_name = function
   | "drop" -> Drop
@@ -348,64 +348,31 @@ let policy_of_name = function
   | "raise" -> Raise
   | s -> corrupt "unknown policy %S" s
 
-let post_of_fields = function
-  | [ id; value; labels ] ->
-    let labels =
-      if labels = "-" then []
-      else List.map (int_field "labels") (String.split_on_char ',' labels)
-    in
-    if List.exists (fun a -> a < 0) labels then corrupt "negative label in post";
-    let value = float_of_hex value in
-    (* Admitted posts always carry finite timestamps (the non-finite
-       policy ran before admission), so anything else is corruption. *)
-    if not (Float.is_finite value) then corrupt "non-finite post timestamp";
-    Post.make ~id:(int_field "post id" id) ~value ~labels:(Label_set.of_list labels)
-  | fields -> corrupt "bad post line with %d fields" (List.length fields)
+let flag what = function "0" -> false | "1" -> true | s -> corrupt "bad %s flag %S" what s
 
-type cursor = { lines : string array; mutable at : int }
-
-let next cur =
-  if cur.at >= Array.length cur.lines then corrupt "truncated checkpoint";
-  let l = cur.lines.(cur.at) in
-  cur.at <- cur.at + 1;
-  l
-
-let expect cur key =
-  match String.split_on_char ' ' (next cur) with
-  | k :: rest when k = key -> rest
-  | k :: _ -> corrupt "expected %S line, found %S" key k
-  | [] -> corrupt "expected %S line, found an empty line" key
-
-let int_list what n fields =
-  if List.length fields < n then corrupt "truncated %s list" what
-  else List.filteri (fun i _ -> i < n) fields |> List.map (int_field what)
+(* Admitted posts always carry finite timestamps (the non-finite policy
+   ran before admission), so anything else is corruption. *)
+let admitted_post fields =
+  let p = post_of_fields fields in
+  if not (Float.is_finite p.Post.value) then corrupt "non-finite post timestamp";
+  p
 
 let restore text =
-  (* Split off and verify the checksum trailer first: everything else is
-     only trusted once the body hashes correctly. *)
-  let body, sum =
-    match String.rindex_opt (String.trim text) '\n' with
-    | None -> corrupt "not a checkpoint (single line)"
-    | Some i ->
-      let trimmed = String.trim text in
-      (String.sub trimmed 0 (i + 1), String.sub trimmed (i + 1) (String.length trimmed - i - 1))
+  let cur = Util.Fs.unseal ~magic ~version text in
+  let expect = Util.Fs.expect cur in
+  let count key = int_field key (Util.Fs.field cur key) in
+  let posts n = List.init n (fun _ -> admitted_post (expect "p")) in
+  (* "<key> <n> <id> ... <id>" *)
+  let ints key =
+    match expect key with
+    | n :: ids ->
+      let n = int_field key n in
+      if List.length ids < n then corrupt "truncated %s list" key;
+      List.filteri (fun i _ -> i < n) ids |> List.map (int_field key)
+    | [] -> corrupt "bad %s line" key
   in
-  (match String.split_on_char ' ' sum with
-  | [ "checksum"; hex ] ->
-    if Printf.sprintf "%016Lx" (fnv64 body) <> hex then corrupt "checksum mismatch"
-  | _ -> corrupt "missing checksum trailer");
-  let cur = { lines = Array.of_list (String.split_on_char '\n' (String.trim body)); at = 0 } in
-  (match String.split_on_char ' ' (next cur) with
-  | [ m; v ] when m = magic ->
-    (* A wrong version on an otherwise intact checkpoint (checksum and
-       magic already validated) is not corruption — it is a format
-       mismatch the caller may want to handle (migrate, warn, refuse)
-       distinctly, hence the typed exception. *)
-    if v <> Printf.sprintf "v%d" version then
-      raise (Unsupported_version { found = v; expected = version })
-  | _ -> corrupt "bad magic");
   let cfg =
-    match expect cur "config" with
+    match expect "config" with
     | [ window; late; dup; nonfinite; budget ] ->
       {
         reorder_window = int_field "reorder_window" window;
@@ -419,103 +386,64 @@ let restore text =
   in
   (try validate_config cfg with Invalid_argument m -> corrupt "%s" m);
   let cnt =
-    match List.map (int_field "counters") (expect cur "counters") with
+    match List.map (int_field "counters") (expect "counters") with
     | [ _; _; _; _; _; _; _; _; _; _ ] as l -> Array.of_list l
     | _ -> corrupt "bad counters line"
   in
   let watermark, high =
-    match expect cur "watermark" with
-    | [ w; h ] -> (float_of_hex w, float_of_hex h)
+    match expect "watermark" with
+    | [ w; h ] -> (float_of_field w, float_of_field h)
     | _ -> corrupt "bad watermark line"
   in
-  let seen =
-    match expect cur "seen" with
-    | n :: rest -> int_list "seen" (int_field "seen count" n) rest
-    | [] -> corrupt "bad seen line"
-  in
-  let staged =
-    match expect cur "buffer" with
-    | [ n ] -> List.init (int_field "buffer count" n) (fun _ -> post_of_fields (expect cur "p"))
-    | _ -> corrupt "bad buffer line"
-  in
+  let seen = ints "seen" in
+  let staged = posts (count "buffer") in
   let lambda, mode =
-    match expect cur "engine" with
-    | [ lambda; "instant" ] -> (float_of_hex lambda, Online.Instant)
+    match expect "engine" with
+    | [ lambda; "instant" ] -> (float_of_field lambda, Online.Instant)
     | [ lambda; "delayed"; tau; plus ] ->
-      ( float_of_hex lambda,
-        Online.Delayed
-          {
-            tau = float_of_hex tau;
-            plus =
-              (match plus with
-              | "0" -> false
-              | "1" -> true
-              | s -> corrupt "bad plus flag %S" s);
-          } )
+      (float_of_field lambda, Online.Delayed { tau = float_of_field tau; plus = flag "plus" plus })
     | _ -> corrupt "bad engine line"
   in
   let last_time =
-    match expect cur "last" with
+    match expect "last" with
     | [ "none" ] -> None
-    | [ v ] -> Some (float_of_hex v)
+    | [ v ] -> Some (float_of_field v)
     | _ -> corrupt "bad last line"
   in
-  let emitted =
-    match expect cur "emitted" with
-    | n :: rest -> int_list "emitted" (int_field "emitted count" n) rest
-    | [] -> corrupt "bad emitted line"
-  in
-  let degraded =
-    match expect cur "degraded" with
-    | n :: rest -> int_list "degraded" (int_field "degraded count" n) rest
-    | [] -> corrupt "bad degraded line"
-  in
-  let num_labels =
-    match expect cur "labels" with
-    | [ n ] -> int_field "labels count" n
-    | _ -> corrupt "bad labels line"
-  in
+  let emitted = ints "emitted" in
+  let degraded = ints "degraded" in
   let snap_labels =
-    List.init num_labels (fun _ ->
+    List.init (count "labels") (fun _ ->
         let label, pending_count =
-          match expect cur "label" with
+          match expect "label" with
           | [ a; k ] -> (int_field "label" a, int_field "pending count" k)
           | _ -> corrupt "bad label line"
         in
         let last_out =
-          match expect cur "last" with
+          match expect "last" with
           | [ "none" ] -> None
-          | fields -> Some (post_of_fields fields)
+          | fields -> Some (admitted_post fields)
         in
-        let pending = List.init pending_count (fun _ -> post_of_fields (expect cur "p")) in
-        { Online.snap_label = label; snap_pending = pending; snap_last_out = last_out })
+        { Online.snap_label = label; snap_pending = posts pending_count; snap_last_out = last_out })
   in
   let window =
-    match expect cur "window" with
+    match expect "window" with
     | [ "none" ] -> None
     | [ expired; count; guarded; guardv; guardid ] ->
-      let posts =
-        List.init (int_field "window post count" count) (fun _ ->
-            post_of_fields (expect cur "p"))
-      in
       let snap =
         {
           Window_index.snap_expired = int_field "window expired" expired;
-          snap_posts = posts;
-          snap_guard_value = float_of_hex guardv;
+          snap_posts = posts (int_field "window post count" count);
+          snap_guard_value = float_of_field guardv;
           snap_guard_id = int_field "window guard id" guardid;
-          snap_guarded =
-            (match guarded with
-            | "0" -> false
-            | "1" -> true
-            | s -> corrupt "bad window guard flag %S" s);
+          snap_guarded = flag "window guard" guarded;
         }
       in
       (try Some (Window_index.import (Coverage.Fixed lambda) snap)
        with Invalid_argument m -> corrupt "%s" m)
     | _ -> corrupt "bad window line"
   in
-  if cur.at <> Array.length cur.lines then corrupt "trailing garbage after window table";
+  if not (Util.Fs.at_end cur) then corrupt "trailing garbage after window table";
   let snapshot =
     {
       Online.snap_lambda = lambda;
@@ -550,8 +478,4 @@ let restore text =
    tear only the ignored temp sibling, never the checkpoint itself. *)
 let save_checkpoint ~path t = Util.Fs.atomic_write ~path (checkpoint t)
 
-let load_checkpoint path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> restore (really_input_string ic (in_channel_length ic)))
+let load_checkpoint path = restore (Util.Fs.read path)

@@ -66,18 +66,6 @@ type t
 
 exception Rejected of { id : int; what : string }
 
-(** Raised by {!restore} / {!load_checkpoint} on a checkpoint that fails
-    validation: bad magic, checksum mismatch, or a structurally invalid
-    body. *)
-exception Corrupt of string
-
-(** Raised by {!restore} / {!load_checkpoint} on an intact checkpoint
-    (magic and checksum valid) whose format version is not the one this
-    build writes. Distinct from {!Corrupt} so callers can handle a
-    version skew — migrate, warn, refuse — without conflating it with
-    data damage. *)
-exception Unsupported_version of { found : string; expected : int }
-
 (** [create ?config ?window ~lambda mode] — a fresh frontend over a fresh
     engine. With [window:true] (default [false]) the engine mirrors the
     admitted stream into a {!Window_index} (see {!Online.create}); the
@@ -124,13 +112,20 @@ val watermark : t -> float option
 
 (** {2 Checkpointing}
 
-    The serialization is line-oriented text: a magic+version header, the
-    full frontend and engine state (floats as IEEE-754 bit patterns, so
-    round-trips are exact), the mirrored window when one is attached,
-    and a trailing FNV-1a-64 checksum over the body. [restore
-    (checkpoint t)] is observationally identical to [t]: pushing the
-    same remaining stream produces bit-identical emissions. Checkpoints
-    from other format versions raise {!Unsupported_version}. *)
+    A checkpoint is a sealed image ({!Util.Fs.seal}), kind
+    [mqdp-feed-checkpoint v2]: line-oriented text holding the full
+    frontend and engine state — config, counters, watermarks, admitted
+    ids, the staged buffer, λ and mode, per-label pending lists — and
+    the mirrored window when one is attached, with floats as IEEE-754
+    bit patterns so round-trips are exact. The serialization is
+    canonical: [checkpoint (restore s) = s]. [restore (checkpoint t)] is
+    observationally identical to [t]: pushing the same remaining stream
+    produces bit-identical emissions.
+
+    {!restore} and {!load_checkpoint} raise {!Util.Fs.Corrupt} on damage
+    (checksum mismatch, bad magic, a structurally invalid body) and
+    {!Util.Fs.Unsupported_version} on an intact checkpoint of another
+    format version. *)
 
 val checkpoint : t -> string
 
@@ -143,3 +138,19 @@ val restore : string -> t
 val save_checkpoint : path:string -> t -> unit
 
 val load_checkpoint : string -> t
+
+(** {2 Field codec}
+
+    The token encodings of checkpoints, shared with {!Profile.blob};
+    decoders raise {!Util.Fs.Corrupt}. Floats are 16-hex-digit IEEE-754
+    bit patterns, label sets comma-separated ints (["-"] for none), posts
+    ["<id> <value> <labels>"]. {!post_of_fields} takes the post's three
+    tokens and accepts any timestamp, NaN and infinities included: a post
+    offered to a profile has not met the non-finite policy yet. *)
+
+val float_field : float -> string
+val float_of_field : string -> float
+val labels_field : Label_set.t -> string
+val labels_of_field : string -> Label_set.t
+val post_field : Post.t -> string
+val post_of_fields : string list -> Post.t

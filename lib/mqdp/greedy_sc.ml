@@ -1,4 +1,4 @@
-type selection = [ `Linear_scan | `Lazy_heap | `Bucket_queue ]
+type selection = [ `Linear_scan | `Bucket_queue ]
 
 (* All pair geometry lives behind one of two backends: a compiled
    (immutable) Pair_index, or a live Window_index over the current sliding
@@ -11,9 +11,9 @@ type selection = [ `Linear_scan | `Lazy_heap | `Bucket_queue ]
    The selection loop is allocation-free for every variant's own state:
    picks land in a preallocated buffer, the salvage closure is bound once
    per solve, and the bucket queue (the default selector) pops bare ints.
-   All three selectors produce bit-identical covers: each one resolves a
-   gain tie toward the smallest position, which is what the linear
-   re-scan's first-strict-maximum does. *)
+   Both selectors produce bit-identical covers: each one resolves a gain
+   tie toward the smallest position, which is what the linear re-scan's
+   first-strict-maximum does. *)
 type geometry =
   | Compiled of {
       index : Pair_index.t;
@@ -158,9 +158,7 @@ let state_of_window ?(marked = false) ?solver ?(budget = Util.Budget.unlimited)
    mutex, far too costly for once-per-pick bumping. *)
 let m_picks = Util.Telemetry.counter "greedy.picks"
 let m_marks = Util.Telemetry.counter "greedy.marks"
-let m_heap_ops = Util.Telemetry.counter "greedy.heap_ops"
 let m_queue_ops = Util.Telemetry.counter "greedy.queue_ops"
-let m_heap_peak = Util.Telemetry.gauge "greedy.heap_peak"
 let m_queue_peak = Util.Telemetry.gauge "greedy.queue_peak"
 
 (* Select post [k]: mark its pairs, decrement coverer gains, and keep the
@@ -211,7 +209,7 @@ let commit state k =
   select state k
 
 (* First strict maximum = smallest position among the tied maxima: the
-   canonical tie rule the other two selectors reproduce. *)
+   canonical tie rule the bucket queue reproduces. *)
 let argmax_gain state =
   let gain = state.gain in
   let best = ref (-1) and best_gain = ref 0 in
@@ -238,48 +236,6 @@ let solve_linear budget state some_partial =
     end
   in
   loop ()
-
-let solve_heap budget state some_partial =
-  (* Max-heap of (gain snapshot, position); stale entries are refreshed.
-     The key tie-break makes the pick sequence identical to the linear
-     re-scan: every live position always has an entry at >= its true
-     gain, stale over-statements pop first and refresh, so the first
-     fresh top is the global (max gain, min position). *)
-  let cmp (ga, ka) (gb, kb) =
-    let c = Int.compare gb ga in
-    if c <> 0 then c else Int.compare ka kb
-  in
-  let heap = Util.Heap.create cmp in
-  let peak = ref 0 in
-  let push g k =
-    Util.Telemetry.incr m_heap_ops;
-    Util.Heap.push heap (g, k);
-    if Util.Heap.length heap > !peak then peak := Util.Heap.length heap
-  in
-  for k = 0 to state.n - 1 do
-    if state.gain.(k) > 0 then push state.gain.(k) k
-  done;
-  let rec loop () =
-    Interrupt.step ?partial:some_partial budget;
-    Util.Telemetry.incr m_heap_ops;
-    match Util.Heap.pop heap with
-    | None -> ()
-    | Some (g, k) ->
-      if g <> state.gain.(k) then begin
-        (* Stale entry: refresh lazily. Pop-then-repush is net non-growing,
-           so the heap peaks at its initial candidate count. *)
-        if state.gain.(k) > 0 then push state.gain.(k) k;
-        loop ()
-      end
-      else if g = 0 then ()
-      else begin
-        commit_pick state k;
-        select state k;
-        loop ()
-      end
-  in
-  loop ();
-  Util.Telemetry.set m_heap_peak !peak
 
 let solve_bucket budget state some_partial =
   let q = state.queue in
@@ -314,7 +270,6 @@ let run ?(budget = Util.Budget.unlimited) ?(seed = []) selection state =
   let some_partial = Some (fun () -> Interrupt.Partial_cover (picks_so_far state)) in
   (match selection with
   | `Linear_scan -> solve_linear budget state some_partial
-  | `Lazy_heap -> solve_heap budget state some_partial
   | `Bucket_queue -> solve_bucket budget state some_partial);
   picks_so_far state
 

@@ -12,7 +12,7 @@
     per-round allocation for any strategy; the default bucket-queue loop
     allocates nothing at all per select (asserted by [bench --exp micro]).
 
-    Three selection strategies, all producing {e bit-identical covers}
+    Two selection strategies, both producing {e bit-identical covers}
     (each resolves gain ties toward the smallest position; enforced by
     qcheck and the fuzzer's kernel cross-check):
 
@@ -20,14 +20,12 @@
       gains. Gains only decrease, so decrease-key and pop are O(1)
       amortized and the queue holds at most one slot per live candidate —
       no lazily-deleted stale entries.
-    - [`Lazy_heap]: a max-heap of possibly-stale (gain, position)
-      snapshots, re-pushed on mismatch; kept as the reference adversary
-      for the cross-checks.
     - [`Linear_scan]: re-scan all gains each round — what the paper's
       implementation does, after finding heap maintenance too expensive
-      on their data. *)
+      on their data; kept as the oracle the bucket queue is checked
+      against. *)
 
-type selection = [ `Linear_scan | `Lazy_heap | `Bucket_queue ]
+type selection = [ `Linear_scan | `Bucket_queue ]
 
 (** The mutable set-cover state (gain array, flat covered state, pick and
     touched-position buffers, and the gain bucket queue) over either a
@@ -52,12 +50,12 @@ val state_of_index : ?pool:Util.Pool.t -> ?budget:Util.Budget.t -> Pair_index.t 
     positions, ascending. Default selection is [`Bucket_queue]. When
     [pool] is given, index compilation and gain initialization fan out
     across the pool's domains; the selection loop itself stays sequential.
-    The cover is bit-identical to a run without [pool] — and to every
+    The cover is bit-identical to a run without [pool] — and to the
     other selection strategy.
 
     [budget] (default unlimited) is charged one step per post during
-    initialization, [n] per linear-scan round, and one per heap or queue
-    pop; on exhaustion mid-selection the {!Interrupt.Budget_exceeded}
+    initialization, [n] per linear-scan round, and one per queue pop; on
+    exhaustion mid-selection the {!Interrupt.Budget_exceeded}
     carries the picks so far as a [Partial_cover].
 
     [seed] positions are committed before the greedy loop: everything they

@@ -74,6 +74,8 @@ let create ?window ~lambda mode =
   }
 
 let window t = t.window
+let lambda t = t.lambda
+let mode t = t.mode
 
 let m_heap_pushes = Util.Telemetry.counter "online.heap_pushes"
 let m_heap_pops = Util.Telemetry.counter "online.heap_pops"

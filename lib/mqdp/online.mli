@@ -47,6 +47,11 @@ val create : ?window:Window_index.t -> lambda:float -> mode -> t
 (** The mirrored window, if one was attached at creation. *)
 val window : t -> Window_index.t option
 
+(** The [lambda] and [mode] given to {!create}. *)
+val lambda : t -> float
+
+val mode : t -> mode
+
 (** [push t post] — register an arrival; returns due emissions in emit-time
     order. Only deadlines *strictly* before [post.value] fire: an arrival
     at exactly a pending deadline is processed first, since the arriving

@@ -121,9 +121,10 @@ let apply_post t post =
    from the checkpoint's sequence number) the same sequence numbers — so
    the unreported buffer can be reconstructed precisely: pre-checkpoint
    emissions come from [ckpt_buffer], post-checkpoint ones from the
-   replay, both filtered by the reported watermark. *)
-let recover t =
-  let feed = Feed.restore t.ckpt in
+   replay, both filtered by the reported watermark. [feed], when given,
+   is [t.ckpt] already restored. *)
+let recover ?feed t =
+  let feed = match feed with Some f -> f | None -> Feed.restore t.ckpt in
   t.feed <- feed;
   let seq = ref t.ckpt_emit_seq in
   let replayed_rev = ref [] in
@@ -217,179 +218,84 @@ let revive t =
 
 (* {2 Durable serialization}
 
-   Line-oriented text mirroring Feed's checkpoint idioms: floats as hex
-   IEEE-754 bit patterns (exact round-trips), the embedded feed checkpoint
-   escaped onto one line. Integrity (checksums) is the enclosing shard
-   snapshot's job. *)
-
-let hex_of_float f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
-
-let float_of_hex s =
-  match Int64.of_string_opt ("0x" ^ s) with
-  | Some bits -> Int64.float_of_bits bits
-  | None -> raise (Feed.Corrupt (Printf.sprintf "bad float field %S" s))
-
-let labels_field ls =
-  match Label_set.to_list ls with
-  | [] -> "-"
-  | labels -> String.concat "," (List.map string_of_int labels)
-
-let labels_of_field s =
-  if s = "-" then Label_set.empty
-  else
-    Label_set.of_list
-      (List.map
-         (fun tok ->
-           match int_of_string_opt tok with
-           | Some l when l >= 0 -> l
-           | _ -> raise (Feed.Corrupt (Printf.sprintf "bad label field %S" s)))
-         (String.split_on_char ',' s))
-
-let post_field p =
-  Printf.sprintf "%d %s %s" p.Post.id (hex_of_float p.Post.value)
-    (labels_field p.Post.labels)
-
-let post_of_tokens = function
-  | [ id; value; labels ] -> (
-    match int_of_string_opt id with
-    | Some id ->
-      Post.make ~id ~value:(float_of_hex value) ~labels:(labels_of_field labels)
-    | None -> raise (Feed.Corrupt "bad post id"))
-  | _ -> raise (Feed.Corrupt "bad post field count")
-
-let policy_char = function Feed.Drop -> 'd' | Feed.Clamp -> 'c' | Feed.Raise -> 'r'
-
-let policy_of_char = function
-  | 'd' -> Feed.Drop
-  | 'c' -> Feed.Clamp
-  | 'r' -> Feed.Raise
-  | c -> raise (Feed.Corrupt (Printf.sprintf "bad policy char %c" c))
-
-let mode_field = function
-  | Online.Instant -> "instant"
-  | Online.Delayed { tau; plus } ->
-    Printf.sprintf "delayed %s %d" (hex_of_float tau) (if plus then 1 else 0)
+   Line-oriented text in Feed's field codec. The embedded feed checkpoint
+   is escaped onto one line and already carries λ, mode, feed config and
+   the window, so only the profile's own state is written beside it.
+   Integrity is the enclosing shard snapshot's seal. *)
 
 let blob t =
   let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let line fmt = Util.Fs.line b fmt in
   line "name %s" (String.escaped t.name);
-  line "flags %d %d %d" (if t.degraded then 1 else 0)
-    (if t.quarantined then 1 else 0)
-    t.crashes;
+  line "flags %d %d %d" (Bool.to_int t.degraded) (Bool.to_int t.quarantined) t.crashes;
   line "counters %d %d %d" t.acked t.applied t.rejected;
   line "seqs %d %d" t.reported_upto t.ckpt_emit_seq;
-  line "config %s %s %d %d %d"
-    (hex_of_float t.config.lambda)
-    (mode_field t.config.mode)
-    (if t.config.window then 1 else 0)
-    t.config.checkpoint_every t.config.max_restarts;
-  let fc = t.config.feed in
-  line "feedcfg %d %c %c %c %s" fc.Feed.reorder_window (policy_char fc.Feed.late)
-    (policy_char fc.Feed.duplicate)
-    (policy_char fc.Feed.non_finite)
-    (match fc.Feed.overload_budget with
-    | None -> "none"
-    | Some n -> string_of_int n);
-  line "sub %s" (labels_field t.subscription);
+  line "limits %d %d" t.config.checkpoint_every t.config.max_restarts;
+  line "sub %s" (Feed.labels_field t.subscription);
   line "ckpt %s" (String.escaped t.ckpt);
   line "cb %d" (List.length t.ckpt_buffer);
   List.iter
     (fun (seq, e) ->
-      line "e %d %s %s" seq (hex_of_float e.Online.emit_time)
-        (post_field e.Online.post))
+      line "e %d %s %s" seq (Feed.float_field e.Online.emit_time) (Feed.post_field e.Online.post))
     t.ckpt_buffer;
   line "j %d" t.journal_n;
-  List.iter (fun p -> line "p %s" (post_field p)) (List.rev t.journal_rev);
+  List.iter (fun p -> line "p %s" (Feed.post_field p)) (List.rev t.journal_rev);
   line "pq %d" t.pending_n;
-  Queue.iter (fun p -> line "p %s" (post_field p)) t.pending_q;
+  Queue.iter (fun p -> line "p %s" (Feed.post_field p)) t.pending_q;
   Buffer.contents b
 
 let of_blob s =
-  let lines = String.split_on_char '\n' s in
-  let lines = ref (List.filter (fun l -> l <> "") lines) in
-  let next tag =
-    match !lines with
-    | l :: rest -> (
-      lines := rest;
-      match String.index_opt l ' ' with
-      | Some i when String.sub l 0 i = tag ->
-        String.sub l (i + 1) (String.length l - i - 1)
-      | _ -> raise (Feed.Corrupt (Printf.sprintf "expected %S line, got %S" tag l)))
-    | [] -> raise (Feed.Corrupt (Printf.sprintf "missing %S line" tag))
-  in
-  let tokens s = String.split_on_char ' ' s in
-  let int_tok s =
-    match int_of_string_opt s with
-    | Some i -> i
-    | None -> raise (Feed.Corrupt (Printf.sprintf "bad int field %S" s))
-  in
-  let unescape s =
-    try Scanf.unescaped s
-    with Scanf.Scan_failure _ -> raise (Feed.Corrupt "bad escaped field")
-  in
-  let name = unescape (next "name") in
+  let cur = Util.Fs.cursor s in
+  let int = Util.Fs.int_field and expect = Util.Fs.expect cur in
+  let bad what = Util.Fs.corrupt "bad %s line in profile blob" what in
+  let name = Util.Fs.unescape (Util.Fs.field cur "name") in
   let degraded, quarantined, crashes =
-    match tokens (next "flags") with
-    | [ d; q; c ] -> (int_tok d = 1, int_tok q = 1, int_tok c)
-    | _ -> raise (Feed.Corrupt "bad flags line")
+    match expect "flags" with
+    | [ d; q; c ] -> (int "flags" d = 1, int "flags" q = 1, int "crashes" c)
+    | _ -> bad "flags"
   in
   let acked, applied, rejected =
-    match tokens (next "counters") with
-    | [ a; p; r ] -> (int_tok a, int_tok p, int_tok r)
-    | _ -> raise (Feed.Corrupt "bad counters line")
+    match expect "counters" with
+    | [ a; p; r ] -> (int "acked" a, int "applied" p, int "rejected" r)
+    | _ -> bad "counters"
   in
   let reported_upto, ckpt_emit_seq =
-    match tokens (next "seqs") with
-    | [ r; c ] -> (int_tok r, int_tok c)
-    | _ -> raise (Feed.Corrupt "bad seqs line")
+    match expect "seqs" with
+    | [ r; c ] -> (int "reported" r, int "checkpoint seq" c)
+    | _ -> bad "seqs"
   in
-  let lambda, mode, window, checkpoint_every, max_restarts =
-    match tokens (next "config") with
-    | [ lambda; "instant"; w; ce; mr ] ->
-      (float_of_hex lambda, Online.Instant, int_tok w = 1, int_tok ce, int_tok mr)
-    | [ lambda; "delayed"; tau; plus; w; ce; mr ] ->
-      ( float_of_hex lambda,
-        Online.Delayed { tau = float_of_hex tau; plus = int_tok plus = 1 },
-        int_tok w = 1,
-        int_tok ce,
-        int_tok mr )
-    | _ -> raise (Feed.Corrupt "bad config line")
+  let checkpoint_every, max_restarts =
+    match expect "limits" with
+    | [ ce; mr ] -> (int "checkpoint_every" ce, int "max_restarts" mr)
+    | _ -> bad "limits"
   in
-  let feed_config =
-    match tokens (next "feedcfg") with
-    | [ rw; late; dup; nf; ob ] when
-        String.length late = 1 && String.length dup = 1 && String.length nf = 1
-      ->
-      {
-        Feed.reorder_window = int_tok rw;
-        late = policy_of_char late.[0];
-        duplicate = policy_of_char dup.[0];
-        non_finite = policy_of_char nf.[0];
-        overload_budget = (if ob = "none" then None else Some (int_tok ob));
-      }
-    | _ -> raise (Feed.Corrupt "bad feedcfg line")
-  in
-  let subscription = labels_of_field (next "sub") in
-  let ckpt = unescape (next "ckpt") in
-  let count tag = int_tok (next tag) in
+  let subscription = Feed.labels_of_field (Util.Fs.field cur "sub") in
+  let ckpt = Util.Fs.unescape (Util.Fs.field cur "ckpt") in
+  let count tag = int tag (Util.Fs.field cur tag) in
   let ckpt_buffer =
     List.init (count "cb") (fun _ ->
-        match tokens (next "e") with
-        | seq :: emit :: post_toks ->
-          ( int_tok seq,
-            {
-              Online.emit_time = float_of_hex emit;
-              post = post_of_tokens post_toks;
-            } )
-        | _ -> raise (Feed.Corrupt "bad ckpt-buffer entry"))
+        match expect "e" with
+        | seq :: emit :: post ->
+          (int "seq" seq, { Online.emit_time = Feed.float_of_field emit; post = Feed.post_of_fields post })
+        | _ -> bad "e")
   in
-  let journal =
-    List.init (count "j") (fun _ -> post_of_tokens (tokens (next "p")))
-  in
-  let pending = List.init (count "pq") (fun _ -> post_of_tokens (tokens (next "p"))) in
+  let posts tag = List.init (count tag) (fun _ -> Feed.post_of_fields (expect "p")) in
+  let journal = posts "j" in
+  let pending = posts "pq" in
+  if not (Util.Fs.at_end cur) then bad "trailing";
+  (* λ, mode, feed config and the window flag come back from the
+     checkpoint, the one place they are stored. *)
+  let feed = Feed.restore ckpt in
+  let engine = Feed.engine feed in
   let config =
-    { lambda; mode; feed = feed_config; window; checkpoint_every; max_restarts }
+    {
+      lambda = Online.lambda engine;
+      mode = Online.mode engine;
+      feed = Feed.config feed;
+      window = Option.is_some (Feed.window feed);
+      checkpoint_every;
+      max_restarts;
+    }
   in
   let pending_q = Queue.create () in
   List.iter (fun p -> Queue.push p pending_q) pending;
@@ -401,7 +307,7 @@ let of_blob s =
       degraded;
       quarantined;
       crashes;
-      feed = Feed.restore ckpt;
+      feed;
       ckpt;
       ckpt_emit_seq;
       ckpt_buffer;
@@ -420,5 +326,5 @@ let of_blob s =
   in
   (* Rebuilding from durable state IS the crash-recovery path: replay the
      journal to regenerate the live feed, sequence counter, and buffer. *)
-  recover t;
+  recover ~feed t;
   t

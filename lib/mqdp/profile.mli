@@ -128,10 +128,13 @@ val breaker : t -> Supervisor.Breaker.t
 
 (** {2 Durable serialization} *)
 
-(** The profile's durable state as a single string (line-oriented,
-    checksummed by the shard snapshot around it). *)
+(** The profile's durable state as a single string: line-oriented, in
+    {!Feed}'s field codec, sealed by the shard snapshot around it. λ,
+    mode, feed config and the window flag live only in the embedded feed
+    checkpoint. *)
 val blob : t -> string
 
-(** Rebuild from {!blob} via the recovery path. Raises {!Feed.Corrupt}
-    on a damaged blob. *)
+(** Rebuild from {!blob} via the recovery path. Raises
+    {!Util.Fs.Corrupt} on a damaged blob, {!Util.Fs.Unsupported_version}
+    on an embedded checkpoint of another format. *)
 val of_blob : string -> t

@@ -89,15 +89,8 @@ let m_backlog = Util.Telemetry.gauge "serve.backlog"
 let m_request = Util.Telemetry.histogram "serve.request"
 let m_report = Util.Telemetry.histogram "serve.report"
 
-let fnv64 s =
-  let p = 0x100000001b3L and h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) p)
-    s;
-  !h
-
 let shard_of_name ~shards name =
-  Int64.to_int (Int64.rem (Int64.logand (fnv64 name) Int64.max_int)
+  Int64.to_int (Int64.rem (Int64.logand (Util.Fs.fnv64 name) Int64.max_int)
                   (Int64.of_int shards))
 
 let create (config : config) =
@@ -211,22 +204,12 @@ let ok seq fmt = Printf.ksprintf (fun s -> Printf.sprintf "%d OK %s" seq s) fmt
 let err seq code fmt =
   Printf.ksprintf (fun s -> Printf.sprintf "%d ERR %s %s" seq code s) fmt
 
-let hex_of_float f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
-
 exception Bad_request of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
 
 let parse_labels s =
-  if s = "-" then Label_set.empty
-  else
-    Label_set.of_list
-      (List.map
-         (fun tok ->
-           match int_of_string_opt tok with
-           | Some l when l >= 0 -> l
-           | _ -> bad "bad label list %S" s)
-         (String.split_on_char ',' s))
+  try Feed.labels_of_field s with Util.Fs.Corrupt _ -> bad "bad label list %S" s
 
 let parse_float what s =
   match float_of_string_opt s with Some f -> f | None -> bad "bad %s %S" what s
@@ -376,7 +359,7 @@ let handle_report t seq name =
     List.map
       (fun (eseq, e) ->
         Printf.sprintf "%d EMIT %d %d %s" seq eseq e.Online.post.Post.id
-          (hex_of_float e.Online.emit_time))
+          (Feed.float_field e.Online.emit_time))
       emissions
   in
   Util.Telemetry.observe m_report (Util.Timer.elapsed_since t0);
@@ -632,22 +615,7 @@ let is_durability_point_line line =
    - [R id seq resp...] — one cached response (written by compaction). *)
 
 let enc_fields fields = String.concat "\t" (List.map String.escaped fields)
-
-let journal_corrupt fmt =
-  Printf.ksprintf (fun s -> raise (Util.Fs.Journal.Corrupt s)) fmt
-
-let dec_fields payload =
-  List.map
-    (fun f ->
-      try Scanf.unescaped f
-      with Scanf.Scan_failure _ | Failure _ ->
-        journal_corrupt "undecodable session journal field %S" f)
-    (String.split_on_char '\t' payload)
-
-let int_field what s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> journal_corrupt "bad %s %S in session journal" what s
+let dec_fields payload = List.map Util.Fs.unescape (String.split_on_char '\t' payload)
 
 (* Append the C record for a freshly executed command. Only sessions with
    a durable identity journal; anonymous per-connection sessions die with
@@ -728,14 +696,14 @@ let apply_record t ~covered payload =
   match dec_fields payload with
   | [ "W"; id; last ] ->
     let s = session_of_id t id in
-    s.last_seq <- max s.last_seq (int_field "watermark" last)
+    s.last_seq <- max s.last_seq (Util.Fs.int_field "watermark" last)
   | "R" :: id :: seq :: resp ->
     let s = session_of_id t id in
-    let seq = int_field "seq" seq in
+    let seq = Util.Fs.int_field "seq" seq in
     cache_store s seq resp;
     s.last_seq <- max s.last_seq seq
   | "C" :: gsn :: id :: seq :: line :: resp ->
-    let gsn = int_field "gsn" gsn and seq = int_field "seq" seq in
+    let gsn = Util.Fs.int_field "gsn" gsn and seq = Util.Fs.int_field "seq" seq in
     let s = session_of_id t id in
     (* Redo: re-execute only the commands whose effects postdate the shard
        snapshots this boot restored from ([gsn > covered]); commands at or
@@ -748,7 +716,7 @@ let apply_record t ~covered payload =
     s.last_seq <- max s.last_seq seq;
     cache_store s seq resp;
     t.gsn <- max t.gsn gsn
-  | _ -> journal_corrupt "unrecognized session journal record %S" payload
+  | _ -> Util.Fs.corrupt "unrecognized session journal record %S" payload
 
 let attach_journal ?(fsync = true) t ~dir ~covered =
   if journal_attached t then invalid_arg "Serve.attach_journal: already attached";
@@ -812,36 +780,23 @@ let compact_journal ?crash_after t =
 
 (* {2 State-dir manifest} *)
 
-let manifest ?(extra = []) t =
-  Printf.sprintf "mqdp-serve state v1\nshards=%d\n%s" (Array.length t.shards)
-    (String.concat ""
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%d\n" k v) extra))
+let manifest_magic = "mqdp-serve state"
+let manifest_version = 2
 
-(* Extra key lookup for the daemon's epoch/journal watermarks; unknown
-   manifests (no such key) read as [None] so older state dirs load. *)
-let manifest_field s key =
-  let prefix = key ^ "=" in
-  String.split_on_char '\n' s
-  |> List.find_map (fun l ->
-         if String.starts_with ~prefix l then
-           int_of_string_opt
-             (String.sub l (String.length prefix)
-                (String.length l - String.length prefix))
-         else None)
+let manifest ?(extra = []) t =
+  Util.Fs.seal ~magic:manifest_magic ~version:manifest_version @@ fun b ->
+  List.iter (fun (k, v) -> Util.Fs.line b "%s=%d" k v) (("shards", Array.length t.shards) :: extra)
 
 let parse_manifest s =
-  match String.split_on_char '\n' s with
-  | "mqdp-serve state v1" :: rest -> (
-    let shard_line =
-      List.find_opt (fun l -> String.starts_with ~prefix:"shards=" l) rest
-    in
-    match shard_line with
-    | None -> Error "manifest lists no shard count"
-    | Some l -> (
-      match int_of_string_opt (String.sub l 7 (String.length l - 7)) with
-      | Some n when n >= 1 -> Ok n
-      | Some n -> Error (Printf.sprintf "manifest shard count %d out of range" n)
-      | None -> Error (Printf.sprintf "unreadable shard count %S" l)))
-  | header :: _ ->
-    Error (Printf.sprintf "unrecognized manifest header %S" header)
-  | [] -> Error "empty manifest"
+  let cur = Util.Fs.unseal ~magic:manifest_magic ~version:manifest_version s in
+  let rec fields acc =
+    if Util.Fs.at_end cur then List.rev acc
+    else
+      match String.split_on_char '=' (Util.Fs.next cur) with
+      | [ k; v ] -> fields ((k, Util.Fs.int_field k v) :: acc)
+      | _ -> Util.Fs.corrupt "manifest line is not key=value"
+  in
+  let fields = fields [] in
+  match List.assoc_opt "shards" fields with
+  | Some n when n >= 1 -> fields
+  | Some _ | None -> Util.Fs.corrupt "manifest lists no valid shard count"

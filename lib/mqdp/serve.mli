@@ -169,8 +169,8 @@ val is_durability_point_line : string -> bool
     subsequent fresh executions. Call exactly once, right after shard
     snapshots are restored and before serving. [fsync:false] trades
     power-loss durability for speed (benchmarks). Raises
-    [Invalid_argument] when already attached, {!Util.Fs.Journal.Corrupt}
-    on mid-file damage. *)
+    [Invalid_argument] when already attached, {!Util.Fs.Corrupt} on
+    mid-file damage. *)
 val attach_journal : ?fsync:bool -> t -> dir:string -> covered:int -> unit
 
 (** Close the journal and stop journaling. Idempotent. *)
@@ -203,22 +203,20 @@ val set_journal_crash_after : t -> int option -> unit
     writes {!manifest} next to the snapshots and refuses to boot when
     {!parse_manifest} disagrees with its configuration. *)
 
-(** The manifest content for this engine ([shards=N] under a versioned
-    header). [extra] appends further [key=value] integer lines — the
+(** The manifest content for this engine: a sealed image
+    ({!Util.Fs.seal}), kind [mqdp-serve state v2], of [key=value]
+    integer lines, [shards=N] first. [extra] appends further lines — the
     daemon records [epoch] (which snapshot generation is current) and
     [journal] (the gsn those snapshots cover), making the
     multi-file snapshot set + journal watermark switch atomic: one
     {!Util.Fs.atomic_write} of the manifest commits all of it. *)
 val manifest : ?extra:(string * int) list -> t -> string
 
-(** [parse_manifest s] — the shard count a manifest records, or a
-    human-readable reason it cannot be trusted. Unknown extra lines are
-    ignored. *)
-val parse_manifest : string -> (int, string) result
-
-(** [manifest_field s key] — the integer [key=] line of a manifest, if
-    present ([epoch], [journal]); [None] on older manifests. *)
-val manifest_field : string -> string -> int option
+(** [parse_manifest s] — every [key=value] line of a manifest, in order,
+    [shards] (always present and positive) first. Raises
+    {!Util.Fs.Corrupt} on damage and {!Util.Fs.Unsupported_version} on a
+    manifest of another format, including the unsealed v1 ones. *)
+val parse_manifest : string -> (string * int) list
 
 (** The shard a profile name hashes to (FNV-1a-64 mod [shards]) — exposed
     so the fuzzer's single-threaded oracle can replicate placement and
@@ -249,7 +247,7 @@ val restart_shard : t -> int -> unit
 val shard_snapshot : t -> int -> string
 
 (** Replace shard [i] with a restored snapshot (daemon startup). Raises
-    {!Shard.Corrupt} on damage. *)
+    what {!Shard.restore} raises. *)
 val load_shard : t -> int -> string -> unit
 
 (** Shut the pool down. The engine keeps working (ticks run inline). *)

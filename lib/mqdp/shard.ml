@@ -115,100 +115,39 @@ let tick ?chaos ?deadline t =
   t.applied <- t.applied + !applied;
   !applied
 
-exception Corrupt of string
-
-let fnv64 s =
-  let p = 0x100000001b3L and h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) p)
-    s;
-  !h
-
 let magic = "mqdp-shard-snapshot"
-let version = 1
+let version = 2
 
 let snapshot t =
-  let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "%s v%d" magic version;
+  Util.Fs.seal ~magic ~version @@ fun b ->
+  let line fmt = Util.Fs.line b fmt in
   line "config %d %s" t.config.queue_capacity
     (match t.config.tick_steps with None -> "none" | Some n -> string_of_int n);
   line "counters %d %d %d" t.acked t.shed t.applied;
   line "profiles %d" (Hashtbl.length t.table);
-  List.iter
-    (fun p -> line "P %s" (String.escaped (Profile.blob p)))
-    (profiles t);
-  let body = Buffer.contents b in
-  Printf.sprintf "%schecksum %016Lx\n" body (fnv64 body)
+  List.iter (fun p -> line "P %s" (String.escaped (Profile.blob p))) (profiles t)
 
 let restore s =
-  let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt in
-  (* Split off and verify the trailing checksum line first. *)
-  let body, checksum_line =
-    match String.rindex_opt (String.trim s) '\n' with
-    | None -> corrupt "no checksum line"
-    | Some i ->
-      let trimmed = String.trim s in
-      (String.sub trimmed 0 (i + 1), String.sub trimmed (i + 1) (String.length trimmed - i - 1))
-  in
-  (match String.split_on_char ' ' checksum_line with
-  | [ "checksum"; hex ] ->
-    if Printf.sprintf "%016Lx" (fnv64 body) <> hex then corrupt "checksum mismatch"
-  | _ -> corrupt "bad checksum line");
-  let lines = ref (List.filter (fun l -> l <> "") (String.split_on_char '\n' body)) in
-  let next () =
-    match !lines with
-    | l :: rest ->
-      lines := rest;
-      l
-    | [] -> corrupt "truncated snapshot"
-  in
-  (match String.split_on_char ' ' (next ()) with
-  | [ m; v ] when m = magic ->
-    if v <> Printf.sprintf "v%d" version then corrupt "unsupported version %s" v
-  | _ -> corrupt "bad magic line");
+  let cur = Util.Fs.unseal ~magic ~version s in
+  let int = Util.Fs.int_field and corrupt = Util.Fs.corrupt in
   let config =
-    match String.split_on_char ' ' (next ()) with
-    | [ "config"; cap; steps ] -> (
-      match (int_of_string_opt cap, steps) with
-      | Some queue_capacity, "none" -> { queue_capacity; tick_steps = None }
-      | Some queue_capacity, steps -> (
-        match int_of_string_opt steps with
-        | Some n -> { queue_capacity; tick_steps = Some n }
-        | None -> corrupt "bad tick_steps")
-      | None, _ -> corrupt "bad queue_capacity")
+    match Util.Fs.expect cur "config" with
+    | [ cap; "none" ] -> { queue_capacity = int "queue_capacity" cap; tick_steps = None }
+    | [ cap; steps ] ->
+      { queue_capacity = int "queue_capacity" cap; tick_steps = Some (int "tick_steps" steps) }
     | _ -> corrupt "bad config line"
   in
   let acked, shed, applied =
-    match String.split_on_char ' ' (next ()) with
-    | [ "counters"; a; s; ap ] -> (
-      match (int_of_string_opt a, int_of_string_opt s, int_of_string_opt ap) with
-      | Some a, Some s, Some ap -> (a, s, ap)
-      | _ -> corrupt "bad counters line")
+    match Util.Fs.expect cur "counters" with
+    | [ a; s; ap ] -> (int "acked" a, int "shed" s, int "applied" ap)
     | _ -> corrupt "bad counters line"
   in
-  let count =
-    match String.split_on_char ' ' (next ()) with
-    | [ "profiles"; n ] -> (
-      match int_of_string_opt n with
-      | Some n when n >= 0 -> n
-      | _ -> corrupt "bad profile count")
-    | _ -> corrupt "bad profiles line"
-  in
-  let t = create config in
+  let count = int "profile count" (Util.Fs.field cur "profiles") in
+  let t = try create config with Invalid_argument m -> corrupt "%s" m in
   for _ = 1 to count do
-    let l = next () in
-    if String.length l < 2 || String.sub l 0 2 <> "P " then
-      corrupt "bad profile line";
-    let blob =
-      try Scanf.unescaped (String.sub l 2 (String.length l - 2))
-      with Scanf.Scan_failure _ -> corrupt "bad profile escaping"
-    in
-    match Profile.of_blob blob with
-    | p -> add t p
-    | exception Feed.Corrupt m -> corrupt "profile blob: %s" m
+    add t (Profile.of_blob (Util.Fs.unescape (Util.Fs.field cur "P")))
   done;
+  if not (Util.Fs.at_end cur) then corrupt "trailing garbage after %d profiles" count;
   (* [add] already recomputed the backlog from the restored journals;
      the monotone totals come from the snapshot. *)
   t.acked <- acked;

@@ -16,7 +16,7 @@
     failures) and never escape the tick.
 
     {!snapshot}/{!restore} serialize the durable state of every profile
-    plus the shard counters, with an FNV-1a-64 checksum. [restore]
+    plus the shard counters as one sealed image. [restore]
     rebuilds each profile through its crash-recovery path, so a
     snapshot/restore cycle is exactly a simulated process death — the
     fuzzer restarts shards mid-stream this way. *)
@@ -77,10 +77,13 @@ val tick : ?chaos:(unit -> unit) -> ?deadline:float -> t -> int
 
 (** {2 Durable snapshots} *)
 
-exception Corrupt of string
-
+(** A sealed image ({!Util.Fs.seal}), kind [mqdp-shard-snapshot v2]:
+    shard config and counters, then one escaped {!Profile.blob} line per
+    profile in name order. *)
 val snapshot : t -> string
 
 (** Rebuild from {!snapshot}; every profile comes back through its
-    recovery path. Raises {!Corrupt} on checksum or structure damage. *)
+    recovery path. Raises {!Util.Fs.Corrupt} on checksum or structure
+    damage, {!Util.Fs.Unsupported_version} on another format version
+    (snapshots written before v2 included). *)
 val restore : string -> t

@@ -2,7 +2,6 @@ type algorithm =
   | Opt
   | Brute_force
   | Greedy_sc
-  | Greedy_sc_heap
   | Greedy_sc_linear
   | Scan
   | Scan_plus
@@ -30,7 +29,6 @@ let algorithm_name = function
   | Opt -> "opt"
   | Brute_force -> "brute-force"
   | Greedy_sc -> "greedy-sc"
-  | Greedy_sc_heap -> "greedy-sc-heap"
   | Greedy_sc_linear -> "greedy-sc-linear"
   | Scan -> "scan"
   | Scan_plus -> "scan+"
@@ -43,7 +41,7 @@ let streaming_algorithm_name = function
   | Instant -> "instant"
 
 let all_algorithms =
-  [ Opt; Brute_force; Greedy_sc; Greedy_sc_heap; Greedy_sc_linear; Scan; Scan_plus ]
+  [ Opt; Brute_force; Greedy_sc; Greedy_sc_linear; Scan; Scan_plus ]
 
 let all_streaming_algorithms =
   [ Stream_scan; Stream_scan_plus; Stream_greedy; Stream_greedy_plus; Instant ]
@@ -67,7 +65,6 @@ let run ?pool ?budget ?(seed = []) algorithm instance lambda =
   | Opt -> union (Opt.solve ?budget instance lambda)
   | Brute_force -> union (Brute_force.solve ?budget instance lambda)
   | Greedy_sc -> Greedy_sc.solve ~selection:`Bucket_queue ?pool ?budget ~seed instance lambda
-  | Greedy_sc_heap -> Greedy_sc.solve ~selection:`Lazy_heap ?pool ?budget ~seed instance lambda
   | Greedy_sc_linear ->
     Greedy_sc.solve ~selection:`Linear_scan ?pool ?budget ~seed instance lambda
   | Scan -> union (Scan.solve ?pool ?budget instance lambda)
@@ -113,7 +110,6 @@ let solve_window ?budget ?solver algorithm window =
     @@ fun () ->
     match algorithm with
     | Greedy_sc -> Greedy_sc.solve_window ~selection:`Bucket_queue ?solver ?budget window
-    | Greedy_sc_heap -> Greedy_sc.solve_window ~selection:`Lazy_heap ?solver ?budget window
     | Greedy_sc_linear ->
       Greedy_sc.solve_window ~selection:`Linear_scan ?solver ?budget window
     | Opt | Brute_force | Scan | Scan_plus ->
@@ -135,7 +131,6 @@ let solve_compiled ?budget algorithm index =
     | Brute_force ->
       Brute_force.solve ?budget (Pair_index.instance index) (Pair_index.lambda index)
     | Greedy_sc -> Greedy_sc.solve_indexed ~selection:`Bucket_queue ?budget index
-    | Greedy_sc_heap -> Greedy_sc.solve_indexed ~selection:`Lazy_heap ?budget index
     | Greedy_sc_linear -> Greedy_sc.solve_indexed ~selection:`Linear_scan ?budget index
     | Scan -> Scan.solve_indexed ?budget index
     | Scan_plus -> Scan.solve_plus_indexed ?budget index

@@ -8,9 +8,8 @@ type algorithm =
   | Opt  (** exact DP; fixed λ, small instances only *)
   | Brute_force  (** exact branch-and-bound; small instances only *)
   | Greedy_sc  (** GreedySC with the default bucket-queue selection *)
-  | Greedy_sc_heap  (** GreedySC with lazy-heap selection *)
   | Greedy_sc_linear
-      (** GreedySC with the paper's linear re-scan selection; all three
+      (** GreedySC with the paper's linear re-scan selection; both
           variants produce bit-identical covers *)
   | Scan
   | Scan_plus

@@ -96,22 +96,95 @@ let sweep_temps dir =
       0 names
 
 (* ------------------------------------------------------------------ *)
+(* Sealed images: "<magic> v<N>\n" + body lines + "checksum <hex>\n".  *)
+(* ------------------------------------------------------------------ *)
+
+exception Corrupt of string
+exception Unsupported_version of { found : string; expected : int }
+
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+
+(* FNV-1a-64 over the first [len] bytes of [s]. *)
+let fnv64_prefix s len =
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
+  !h
+
+let fnv64 s = fnv64_prefix s (String.length s)
+let hex64 h = Printf.sprintf "%016Lx" h
+let line b fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt
+
+(* Two copies of the body, no more: [Buffer.contents] to hash it, and the
+   exact-size concatenation with the trailer. *)
+let seal ~magic ~version write =
+  let b = Buffer.create 4096 in
+  line b "%s v%d" magic version;
+  write b;
+  let body = Buffer.contents b in
+  String.concat "" [ body; "checksum "; hex64 (fnv64 body); "\n" ]
+
+type cursor = { text : string; mutable pos : int; stop : int }
+
+let cursor text = { text; pos = 0; stop = String.length text }
+let at_end cur = cur.pos >= cur.stop
+
+let next cur =
+  if at_end cur then corrupt "truncated image";
+  let nl =
+    match String.index_from_opt cur.text cur.pos '\n' with
+    | Some nl when nl < cur.stop -> nl
+    | Some _ | None -> cur.stop
+  in
+  let l = String.sub cur.text cur.pos (nl - cur.pos) in
+  cur.pos <- nl + 1;
+  l
+
+let field cur key =
+  let l = next cur in
+  let k = String.length key in
+  if l = key then ""
+  else if String.length l > k && l.[k] = ' ' && String.starts_with ~prefix:key l then
+    String.sub l (k + 1) (String.length l - k - 1)
+  else corrupt "expected %S line, found %S" key l
+
+let expect cur key = String.split_on_char ' ' (field cur key)
+
+let int_field what s =
+  match int_of_string_opt s with Some n -> n | None -> corrupt "bad integer %S in %s" s what
+
+let unescape s =
+  try Scanf.unescaped s with Scanf.Scan_failure _ | Failure _ -> corrupt "bad escaped field"
+
+(* Integrity first: the checksum is verified before the header is read.
+   The one exception is an image with no trailer at all whose complete
+   header names [magic] at another version: written before its kind was
+   sealed, so a version skew rather than damage. *)
+let unseal ~magic ~version text =
+  let n = String.length text in
+  let stop = n - String.length "checksum 0123456789abcdef\n" in
+  let header cur =
+    let found = field cur magic in
+    if found <> Printf.sprintf "v%d" version then
+      raise (Unsupported_version { found; expected = version })
+  in
+  if stop < 0 || text.[n - 1] <> '\n' || String.sub text stop 9 <> "checksum " then begin
+    if String.contains text '\n' then (try header (cursor text) with Corrupt _ -> ());
+    corrupt "missing checksum trailer"
+  end;
+  if hex64 (fnv64_prefix text stop) <> String.sub text (stop + 9) 16 then corrupt "checksum mismatch";
+  let cur = { text; pos = 0; stop } in
+  header cur;
+  cur
+
+(* ------------------------------------------------------------------ *)
 (* Append-only journals.                                              *)
 (* ------------------------------------------------------------------ *)
 
 module Journal = struct
-  exception Corrupt of string
-
-  let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
   let version = 1
   let header kind = Printf.sprintf "mqdp-journal v%d %s\n" version kind
-
-  let fnv64 s =
-    let p = 0x100000001b3L and h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) p)
-      s;
-    !h
 
   let render payload =
     if String.contains payload '\n' then
@@ -132,7 +205,7 @@ module Journal = struct
     else
       let hex = String.sub line 2 16 in
       let payload = String.sub line 19 (n - 20) in
-      if Printf.sprintf "%016Lx" (fnv64 payload) = hex then Some payload
+      if hex64 (fnv64 payload) = hex then Some payload
       else None
 
   type t = { path : string; kind : string; mutable oc : out_channel option }

@@ -14,10 +14,27 @@
     concurrent writers to the same destination never stage into the same
     file (last rename wins, each rename is whole).
 
+    {2 Sealed images}
+
+    Every whole-file durable image shares one codec: {!seal} writes a
+    [<magic> v<N>] header line, newline-terminated body lines, and a
+    [checksum <16 hex>] trailer holding the FNV-1a-64 of everything
+    before it; {!unseal} checks that checksum before it reads the magic
+    or the version. The sealed kinds and their current versions:
+
+    - [mqdp-feed-checkpoint v2] — [Mqdp.Feed.checkpoint];
+    - [mqdp-shard-snapshot v2] — [Mqdp.Shard.snapshot], whose profile
+      blobs embed feed checkpoints;
+    - [mqdp-serve state v2] — the [mqdp_serve --state-dir] manifest
+      ([Mqdp.Serve.manifest]).
+
+    Any other version of a kind raises {!Unsupported_version}; damage
+    raises {!Corrupt}. Bodies are parsed with the line {!cursor}.
+
     {!Journal} layers an append-only, per-record-checksummed record log on
     top: the durable-session-journal substrate of [Mqdp.Serve]
-    (DESIGN.md §21), versioned and torn-tail tolerant like [Feed]
-    checkpoints.
+    (DESIGN.md §21), [mqdp-journal v1], torn-tail tolerant, hashed with
+    the same {!fnv64}.
 
     The [?crash_after] hooks exist for the fault-injection tests: they
     make the writer die (raising {!Crashed}) after exactly that many bytes
@@ -63,6 +80,56 @@ val remove_tree : string -> unit
     a missing file. *)
 val remove_if_exists : string -> unit
 
+(** {2 Sealed-image codec} *)
+
+(** Damaged or structurally invalid data. *)
+exception Corrupt of string
+
+(** An intact image of the right kind at another version ([found] is the
+    header's token, e.g. ["v1"]): a format skew, not damage. *)
+exception Unsupported_version of { found : string; expected : int }
+
+val corrupt : ('a, unit, string, 'b) format4 -> 'a
+val fnv64 : string -> int64
+
+(** [line b fmt ...] appends the formatted text and a newline to [b]. *)
+val line : Buffer.t -> ('a, unit, string, unit) format4 -> 'a
+
+(** [seal ~magic ~version write]: the header, the lines [write] appends,
+    the checksum trailer. *)
+val seal : magic:string -> version:int -> (Buffer.t -> unit) -> string
+
+type cursor
+
+(** A cursor over the body lines of a sealed image. Raises {!Corrupt} on
+    a missing or mismatched trailer or another magic, then
+    {!Unsupported_version} on another version. An image with no trailer
+    whose complete header names [magic] at another version (written
+    before its kind was sealed) is also {!Unsupported_version}. *)
+val unseal : magic:string -> version:int -> string -> cursor
+
+(** A cursor over every line of unsealed text. *)
+val cursor : string -> cursor
+
+val at_end : cursor -> bool
+
+(** The next line. The readers below raise {!Corrupt} past the end. *)
+val next : cursor -> string
+
+(** [field cur key] — the rest of the next line after ["<key> "]. *)
+val field : cursor -> string -> string
+
+(** {!field} split on single spaces. *)
+val expect : cursor -> string -> string list
+
+(** [int_field what s] — [s] as an integer, [what] naming it in errors. *)
+val int_field : string -> string -> int
+
+(** The inverse of [String.escaped]. *)
+val unescape : string -> string
+
+(** {2 Journals} *)
+
 (** Append-only record journals: a versioned header line followed by one
     line per record, each carrying an FNV-1a-64 checksum of its payload.
 
@@ -77,10 +144,6 @@ val remove_if_exists : string -> unit
     Payloads are single lines (no ['\n']); encode multi-line data with
     [String.escaped] or similar before appending. *)
 module Journal : sig
-  (** Raised on a bad header, a mid-file checksum mismatch, or a version
-      this build does not understand. *)
-  exception Corrupt of string
-
   type t
 
   (** [open_ ?fsync ~kind path] — open [path] for appending, creating it

@@ -18,7 +18,6 @@ let all_solvers =
     ("opt", fun inst l -> Mqdp.Opt.solve inst l);
     ("brute", fun inst l -> Mqdp.Brute_force.solve inst l);
     ("greedy", fun inst l -> Mqdp.Greedy_sc.solve inst l);
-    ("greedy-heap", fun inst l -> Mqdp.Greedy_sc.solve ~selection:`Lazy_heap inst l);
     ("greedy-bucket", fun inst l -> Mqdp.Greedy_sc.solve ~selection:`Bucket_queue inst l);
     ("greedy-linear", fun inst l -> Mqdp.Greedy_sc.solve ~selection:`Linear_scan inst l);
     ("scan", fun inst l -> Mqdp.Scan.solve inst l);
@@ -131,7 +130,6 @@ let approximations_are_covers =
       List.for_all
         (fun (name, solve) -> check_cover name inst lambda (solve inst lambda))
         [ ("greedy", fun i l -> Mqdp.Greedy_sc.solve i l);
-          ("greedy-heap", fun i l -> Mqdp.Greedy_sc.solve ~selection:`Lazy_heap i l);
           ("scan", fun i l -> Mqdp.Scan.solve i l);
           ("scan+", fun i l -> Mqdp.Scan.solve_plus i l) ])
 
@@ -191,7 +189,7 @@ let scan_per_label_optimal =
         (Mqdp.Instance.label_universe inst))
 
 let greedy_selections_agree_on_size_invariant =
-  qtest "greedy heap/linear both within ln bound of optimum"
+  qtest "greedy bucket/linear both within ln bound of optimum"
     (arb_instance_lambda ~max_posts:11 ~max_labels:3 ())
     (fun (inst, l) ->
       let lambda = fixed l in
@@ -207,7 +205,7 @@ let greedy_selections_agree_on_size_invariant =
                            (Mqdp.Instance.size inst * Mqdp.Instance.num_labels inst))))))
       in
       List.length (Mqdp.Greedy_sc.solve inst lambda) <= bound
-      && List.length (Mqdp.Greedy_sc.solve ~selection:`Lazy_heap inst lambda) <= bound)
+      && List.length (Mqdp.Greedy_sc.solve ~selection:`Linear_scan inst lambda) <= bound)
 
 let monotone_in_lambda =
   qtest "optimal size non-increasing in lambda"
@@ -293,18 +291,16 @@ let kernel_variants_bit_identical =
                   && List.equal Int.equal pooled reference
                   && seq_picks = ref_picks
                   && pooled_picks = ref_picks)
-                [ `Linear_scan; `Lazy_heap; `Bucket_queue ])
+                [ `Linear_scan; `Bucket_queue ])
             [
               fixed l;
               Mqdp.Coverage.Per_post_label
                 (fun p _ -> if p.Mqdp.Post.id mod 2 = 0 then l else l /. 2.);
             ]))
 
-(* Structural boundedness of the selection data structures: the bucket
-   queue holds at most one slot per candidate, and the lazy heap's
-   pop-then-repush refresh is net non-growing — so both peaks are bounded
-   by the post count. This is the regression test for the old heap's
-   lazy-deletion growth, now impossible by construction. *)
+(* Structural boundedness of the selection queue: the bucket queue holds
+   at most one slot per candidate, so its peak is bounded by the post
+   count — no lazily-deleted stale entries can pile up. *)
 let test_selection_peaks_bounded () =
   let inst =
     instance_of
@@ -314,21 +310,14 @@ let test_selection_peaks_bounded () =
   let n = Mqdp.Instance.size inst in
   let lambda = fixed 4. in
   let queue_peak = Util.Telemetry.gauge "greedy.queue_peak" in
-  let heap_peak = Util.Telemetry.gauge "greedy.heap_peak" in
   Util.Telemetry.enable ();
   Fun.protect ~finally:Util.Telemetry.disable (fun () ->
-      ignore (Mqdp.Greedy_sc.solve ~selection:`Bucket_queue inst lambda);
-      ignore (Mqdp.Greedy_sc.solve ~selection:`Lazy_heap inst lambda));
+      ignore (Mqdp.Greedy_sc.solve ~selection:`Bucket_queue inst lambda));
   let qp = Util.Telemetry.gauge_value queue_peak in
-  let hp = Util.Telemetry.gauge_value heap_peak in
   Alcotest.(check bool) "queue peak positive" true (qp > 0);
   Alcotest.(check bool)
     (Printf.sprintf "queue peak %d bounded by %d candidates" qp n)
-    true (qp <= n);
-  Alcotest.(check bool) "heap peak positive" true (hp > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "heap peak %d bounded by %d candidates" hp n)
-    true (hp <= n)
+    true (qp <= n)
 
 let solver_dispatch_consistent =
   qtest ~count:60 "Solver.solve dispatch equals direct calls"

@@ -278,7 +278,7 @@ let test_checkpoint_detects_corruption () =
   let expect_corrupt what s =
     match Mqdp.Feed.restore s with
     | _ -> Alcotest.failf "restored a corrupt checkpoint (%s)" what
-    | exception Mqdp.Feed.Corrupt _ -> ()
+    | exception Util.Fs.Corrupt _ -> ()
   in
   expect_corrupt "garbage" "not a checkpoint at all";
   expect_corrupt "empty" "";
@@ -322,49 +322,6 @@ let test_window_is_transparent () =
   let plain = busy_feed () and mirrored = busy_feed ~window:true () in
   Alcotest.check emission_keys "windowed feed emits identically"
     (run_feed plain suffix_posts) (run_feed mirrored suffix_posts)
-
-(* Recompute the body checksum the way the codec does, so a test can
-   tamper with the version line while keeping the trailer honest. *)
-let fnv64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) prime)
-    s;
-  !h
-
-let with_version v image =
-  match String.index_opt image '\n' with
-  | None -> Alcotest.fail "checkpoint has no header line"
-  | Some i ->
-    let rest = String.sub image (i + 1) (String.length image - i - 1) in
-    let body_end = String.rindex (String.trim rest) '\n' in
-    let body = Printf.sprintf "mqdp-feed-checkpoint %s\n%s" v (String.sub rest 0 (body_end + 1)) in
-    Printf.sprintf "%schecksum %016Lx\n" body (fnv64 body)
-
-let test_version_mismatch_is_typed () =
-  let image = Mqdp.Feed.checkpoint (busy_feed ()) in
-  (* An intact checkpoint from another format version raises the typed
-     error, not Corrupt... *)
-  List.iter
-    (fun v ->
-      match Mqdp.Feed.restore (with_version v image) with
-      | _ -> Alcotest.failf "restored a %s checkpoint" v
-      | exception Mqdp.Feed.Unsupported_version { found; expected } ->
-        Alcotest.(check string) "found version" v found;
-        Alcotest.(check int) "expected version" 2 expected
-      | exception Mqdp.Feed.Corrupt m ->
-        Alcotest.failf "version skew misreported as corruption: %s" m)
-    [ "v1"; "v3"; "v999" ];
-  (* ...but a version tampered without fixing the checksum is corruption:
-     integrity is judged before the format version. *)
-  let b = Bytes.of_string image in
-  Bytes.set b (String.index image 'v' + 1) '1';
-  (match Mqdp.Feed.restore (Bytes.to_string b) with
-  | _ -> Alcotest.fail "restored a tampered checkpoint"
-  | exception Mqdp.Feed.Corrupt _ -> ()
-  | exception Mqdp.Feed.Unsupported_version _ ->
-    Alcotest.fail "checksum mismatch misreported as version skew")
 
 let test_checkpoint_file_roundtrip () =
   let original = busy_feed () in
@@ -419,7 +376,7 @@ let test_atomic_save_survives_torn_writes () =
             (String.length torn);
           match Mqdp.Feed.restore torn with
           | _ -> Alcotest.fail "restored a torn checkpoint prefix"
-          | exception Mqdp.Feed.Corrupt _ -> ())
+          | exception Util.Fs.Corrupt _ -> ())
         crash_bytes;
       (* An uninterrupted save over the torn debris repairs everything. *)
       Mqdp.Feed.save_checkpoint ~path original;
@@ -497,8 +454,6 @@ let suite =
     Alcotest.test_case "windowed checkpoint roundtrip" `Quick
       test_windowed_checkpoint_roundtrip;
     Alcotest.test_case "window mirror is transparent" `Quick test_window_is_transparent;
-    Alcotest.test_case "version mismatch raises typed error" `Quick
-      test_version_mismatch_is_typed;
     Alcotest.test_case "checkpoint detects corruption" `Quick
       test_checkpoint_detects_corruption;
     Alcotest.test_case "checkpoint file roundtrip" `Quick

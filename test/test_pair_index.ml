@@ -225,32 +225,6 @@ let ref_greedy inst lambda =
   in
   List.sort_uniq Int.compare (loop [])
 
-let ref_greedy_heap inst lambda =
-  let state, select = ref_greedy_setup inst lambda in
-  (* (gain desc, position asc): the tie-broken comparator the library's
-     lazy heap uses, which pins its pick sequence to the linear re-scan's
-     first-strict-maximum rule. *)
-  let cmp (ga, ka) (gb, kb) =
-    let c = Int.compare gb ga in
-    if c <> 0 then c else Int.compare ka kb
-  in
-  let heap = Util.Heap.create cmp in
-  Array.iteri (fun k g -> if g > 0 then Util.Heap.push heap (g, k)) state.gain;
-  let rec loop acc =
-    match Util.Heap.pop heap with
-    | None -> acc
-    | Some (g, k) ->
-      if g <> state.gain.(k) then begin
-        if state.gain.(k) > 0 then Util.Heap.push heap (state.gain.(k), k);
-        loop acc
-      end
-      else if g = 0 then acc
-      else begin
-        select k;
-        loop (k :: acc)
-      end
-  in
-  List.sort_uniq Int.compare (loop [])
 
 (* Old Brute_force.build_sets: hashtable pair ids over the same label-major
    enumeration, then the shared exact engine. *)
@@ -475,7 +449,7 @@ let reach_and_reverse_maps =
 
 let solvers_match_pre_refactor =
   qtest ~count:120
-    "greedy(+heap)/scan/scan+/brute return the pre-refactor covers"
+    "greedy/scan/scan+/brute match the pre-refactor covers"
     (arb_instance_lambda ~max_posts:16 ~max_labels:4 ())
     (fun (inst, l) ->
       List.for_all
@@ -492,9 +466,6 @@ let solvers_match_pre_refactor =
                   (describe_instance inst);
               true)
             [ ("greedy", ref_greedy, fun i lm -> Mqdp.Greedy_sc.solve i lm);
-              ( "greedy-heap",
-                ref_greedy_heap,
-                fun i lm -> Mqdp.Greedy_sc.solve ~selection:`Lazy_heap i lm );
               ("scan", ref_scan, fun i lm -> Mqdp.Scan.solve i lm);
               ("scan+", ref_scan_plus, fun i lm -> Mqdp.Scan.solve_plus i lm);
               ("brute", ref_brute, fun i lm -> Mqdp.Brute_force.solve i lm) ])
@@ -510,8 +481,7 @@ let parallel_build_identical =
             (fun algo ->
               (Mqdp.Solver.solve ~jobs:4 algo inst lambda).Mqdp.Solver.cover
               = (Mqdp.Solver.solve algo inst lambda).Mqdp.Solver.cover)
-            [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_heap; Mqdp.Solver.Scan;
-              Mqdp.Solver.Scan_plus ])
+            [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Scan; Mqdp.Solver.Scan_plus ])
         (both_lambdas l))
 
 let compiled_facade_consistent =
@@ -526,8 +496,8 @@ let compiled_facade_consistent =
             | Mqdp.Coverage.Fixed _ -> Mqdp.Solver.all_algorithms
             | Mqdp.Coverage.Per_post_label _ ->
               (* OPT requires a fixed λ. *)
-              [ Mqdp.Solver.Brute_force; Mqdp.Solver.Greedy_sc;
-                Mqdp.Solver.Greedy_sc_heap; Mqdp.Solver.Scan; Mqdp.Solver.Scan_plus ]
+              [ Mqdp.Solver.Brute_force; Mqdp.Solver.Greedy_sc; Mqdp.Solver.Scan;
+                Mqdp.Solver.Scan_plus ]
           in
           List.for_all
             (fun algo ->

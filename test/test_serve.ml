@@ -76,6 +76,14 @@ let test_profile_budget_is_not_a_crash () =
     (Mqdp.Profile.crashes p);
   Alcotest.(check bool) "not quarantined" false (Mqdp.Profile.quarantined p)
 
+(* A profile's unreported emissions, bit patterns included. *)
+let report p =
+  List.map
+    (fun (s, e) ->
+      Printf.sprintf "%d:%d:%Lx" s e.Mqdp.Online.post.Mqdp.Post.id
+        (Int64.bits_of_float e.Mqdp.Online.emit_time))
+    (Mqdp.Profile.take_report p)
+
 let test_profile_blob_roundtrip () =
   let config =
     { Mqdp.Profile.default_config with mode = delayed 5.; window = false;
@@ -98,16 +106,7 @@ let test_profile_blob_roundtrip () =
   ignore (Mqdp.Profile.process q);
   Mqdp.Profile.drain p;
   Mqdp.Profile.drain q;
-  let render r =
-    List.map
-      (fun (s, e) ->
-        Printf.sprintf "%d:%d:%Lx" s e.Mqdp.Online.post.Mqdp.Post.id
-          (Int64.bits_of_float e.Mqdp.Online.emit_time))
-      r
-  in
-  Alcotest.(check (list string)) "identical reports"
-    (render (Mqdp.Profile.take_report p))
-    (render (Mqdp.Profile.take_report q))
+  Alcotest.(check (list string)) "identical reports" (report p) (report q)
 
 (* --- Shard --------------------------------------------------------- *)
 
@@ -152,10 +151,123 @@ let test_shard_snapshot_roundtrip_and_corruption () =
   Bytes.set damaged i (Char.chr (Char.code (Bytes.get damaged i) lxor 1));
   (match Mqdp.Shard.restore (Bytes.to_string damaged) with
   | _ -> Alcotest.fail "corrupt snapshot accepted"
-  | exception Mqdp.Shard.Corrupt _ -> ());
+  | exception Util.Fs.Corrupt _ -> ());
   match Mqdp.Shard.restore "mqdp-shard-snapshot v999\n" with
   | _ -> Alcotest.fail "bad header accepted"
-  | exception Mqdp.Shard.Corrupt _ -> ()
+  | exception Util.Fs.Unsupported_version { found = "v999"; expected = 2 } -> ()
+
+(* Posts a profile acknowledged but has not admitted yet may carry any
+   timestamp: the non-finite policy only runs when they are applied. *)
+let test_non_finite_posts_roundtrip () =
+  let shard = Mqdp.Shard.create { Mqdp.Shard.queue_capacity = 64; tick_steps = None } in
+  let p = profile "nina" ~config:{ Mqdp.Profile.default_config with mode = delayed 5.; window = false } in
+  Mqdp.Shard.add shard p;
+  let raw ~id value = { Mqdp.Post.id; value; labels = Mqdp.Label_set.of_list [ 1 ] } in
+  let offer q = ignore (Mqdp.Shard.offer shard p q) in
+  offer (post ~id:1 ~value:1.0 [ 1 ]);
+  offer (raw ~id:2 Float.neg_infinity);
+  ignore (Mqdp.Shard.tick shard);
+  (* Journaled (and dropped by the default policy): id 2. Pending: 3-5. *)
+  offer (raw ~id:3 Float.nan);
+  offer (raw ~id:4 Float.infinity);
+  offer (post ~id:5 ~value:2.0 [ 2 ]);
+  let restored = Mqdp.Shard.restore (Mqdp.Shard.snapshot shard) in
+  let q =
+    match Mqdp.Shard.find restored "nina" with
+    | Some q -> q
+    | None -> Alcotest.fail "profile lost across the snapshot"
+  in
+  Alcotest.(check string) "identical durable state" (Mqdp.Profile.blob p) (Mqdp.Profile.blob q);
+  Alcotest.(check int) "pending" 3 (Mqdp.Profile.pending q);
+  let finish shard profile =
+    ignore (Mqdp.Shard.tick shard);
+    Mqdp.Profile.drain profile;
+    report profile
+  in
+  Alcotest.(check (list string)) "identical reports" (finish shard p) (finish restored q);
+  Alcotest.(check int) "applied" (Mqdp.Profile.applied p) (Mqdp.Profile.applied q)
+
+(* --- Sealed images ------------------------------------------------- *)
+
+let pin_feed window =
+  let f =
+    Mqdp.Feed.create
+      ~config:{ Mqdp.Feed.default_config with reorder_window = 2 }
+      ~window ~lambda:3.
+      (Mqdp.Online.Delayed { tau = 1.5; plus = true })
+  in
+  List.iter
+    (fun p -> ignore (Mqdp.Feed.push f p))
+    [ post ~id:1 ~value:0.5 [ 0 ]; post ~id:2 ~value:2. [ 0; 1 ]; post ~id:3 ~value:1. [ 1 ];
+      post ~id:4 ~value:4.25 [ 2 ]; post ~id:2 ~value:5. [ 0 ] ];
+  f
+
+(* Pinned byte for byte, not merely round-trippable: every profile keeps
+   its feed's checkpoint in memory, and shard snapshots embed it. *)
+let pinned_checkpoint_head =
+  "mqdp-feed-checkpoint v2\nconfig 2 drop drop drop none\ncounters 4 2 1 0 0 1 0 0 0 0\n\
+   watermark 3ff0000000000000 4011000000000000\nseen 4 1 2 3 4\nbuffer 2\n\
+   p 2 4000000000000000 0,1\np 4 4011000000000000 2\n\
+   engine 4008000000000000 delayed 3ff8000000000000 1\nlast 3ff0000000000000\n\
+   emitted 0 \ndegraded 0 \nlabels 2\nlabel 0 1\nlast none\np 1 3fe0000000000000 0\n\
+   label 1 1\nlast none\np 3 3ff0000000000000 1\n"
+
+let pinned_plain = pinned_checkpoint_head ^ "window none\nchecksum 62ff923d3fde62c3\n"
+
+let pinned_windowed =
+  pinned_checkpoint_head
+  ^ "window 0 2 1 3ff0000000000000 3\np 1 3fe0000000000000 0\np 3 3ff0000000000000 1\n\
+     checksum e313fc86c9e28aaa\n"
+
+let test_sealed_images () =
+  let shard = Mqdp.Shard.create { Mqdp.Shard.queue_capacity = 8; tick_steps = Some 4 } in
+  let p = profile "olga" in
+  Mqdp.Shard.add shard p;
+  ignore (Mqdp.Shard.offer shard p (post ~id:1 ~value:1.0 [ 1 ]));
+  let serve = Mqdp.Serve.create { Mqdp.Serve.default_config with Mqdp.Serve.shards = 3 } in
+  let manifest = Mqdp.Serve.manifest ~extra:[ ("epoch", 4); ("journal", 9) ] serve in
+  Mqdp.Serve.shutdown serve;
+  List.iter
+    (fun (kind, image, parse) ->
+      let check what expected s =
+        Alcotest.(check string) (kind ^ ": " ^ what) expected
+          (match parse s with
+          | _ -> "ok"
+          | exception Util.Fs.Corrupt _ -> "corrupt"
+          | exception Util.Fs.Unsupported_version { found; expected } ->
+            Printf.sprintf "%s, not v%d" found expected)
+      in
+      let edit i f =
+        let b = Bytes.of_string image in
+        Bytes.set b i (f (Bytes.get b i));
+        Bytes.to_string b
+      in
+      check "intact" "ok" image;
+      check "a flipped byte" "corrupt"
+        (edit (String.length image / 2) (fun c -> Char.chr (Char.code c lxor 1)));
+      (* Every kind is at v2: "<magic> v2\n<body>checksum <16 hex>\n". *)
+      let nl = String.index image '\n' in
+      let magic = String.sub image 0 (nl - 3) in
+      let body = String.sub image (nl + 1) (String.length image - nl - 27) in
+      List.iter
+        (fun v ->
+          check (Printf.sprintf "re-sealed as v%d" v) (Printf.sprintf "v%d, not v2" v)
+            (Util.Fs.seal ~magic ~version:v (fun b -> Buffer.add_string b body)))
+        [ 1; 3; 999 ];
+      check "version edited without re-sealing" "corrupt" (edit (nl - 1) (fun _ -> '9')))
+    [
+      ("feed checkpoint", Mqdp.Feed.checkpoint (pin_feed true), fun s -> ignore (Mqdp.Feed.restore s));
+      ("shard snapshot", Mqdp.Shard.snapshot shard, fun s -> ignore (Mqdp.Shard.restore s));
+      ("manifest", manifest, fun s -> ignore (Mqdp.Serve.parse_manifest s));
+    ];
+  Alcotest.(check string) "plain checkpoint bytes" pinned_plain (Mqdp.Feed.checkpoint (pin_feed false));
+  Alcotest.(check string) "windowed checkpoint bytes" pinned_windowed
+    (Mqdp.Feed.checkpoint (pin_feed true));
+  List.iter
+    (fun (name, shards, want) ->
+      Alcotest.(check int) (Printf.sprintf "shard_of_name %S mod %d" name shards) want
+        (Mqdp.Serve.shard_of_name ~shards name))
+    [ ("alice", 4, 3); ("bob", 4, 0); ("carol", 7, 5); ("", 3, 0); ("profile-17", 16, 13) ]
 
 (* --- Serve --------------------------------------------------------- *)
 
@@ -534,6 +646,10 @@ let suite =
       test_shard_sheds_at_capacity;
     Alcotest.test_case "shard snapshot round-trips; corruption is refused" `Quick
       test_shard_snapshot_roundtrip_and_corruption;
+    Alcotest.test_case "non-finite pending posts survive a shard snapshot" `Quick
+      test_non_finite_posts_roundtrip;
+    Alcotest.test_case "sealed images: damage, version skew, pinned bytes" `Quick
+      test_sealed_images;
     Alcotest.test_case "admission: duplicate, degrade, capacity" `Quick
       test_serve_admission;
     Alcotest.test_case "idempotent retry and stale-seq eviction" `Quick

@@ -55,8 +55,7 @@ let exact_never_beaten =
       let exact = size Mqdp.Solver.Brute_force in
       List.for_all
         (fun algo -> size algo >= exact)
-        [ Mqdp.Solver.Opt; Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_heap;
-          Mqdp.Solver.Scan; Mqdp.Solver.Scan_plus ])
+        [ Mqdp.Solver.Opt; Mqdp.Solver.Greedy_sc; Mqdp.Solver.Scan; Mqdp.Solver.Scan_plus ])
 
 let streaming_never_beats_clairvoyant =
   qtest ~count:100 "no streaming algorithm beats the clairvoyant optimum"
@@ -92,8 +91,7 @@ let parallel_equals_sequential =
                   (Mqdp.Solver.algorithm_name algo)
                   (describe_instance inst);
               true)
-            [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_heap; Mqdp.Solver.Scan;
-              Mqdp.Solver.Scan_plus ])
+            [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Scan; Mqdp.Solver.Scan_plus ])
         [ Mqdp.Coverage.Fixed l; variable ])
 
 let test_jobs_validation () =

@@ -592,7 +592,7 @@ let test_journal_rejects_damage () =
     Util.Fs.atomic_write ~fsync:false ~path content;
     match Util.Fs.Journal.open_ ~fsync:false ~kind:"t" path with
     | _ -> Alcotest.fail (what ^ ": damaged journal accepted")
-    | exception Util.Fs.Journal.Corrupt _ -> ()
+    | exception Util.Fs.Corrupt _ -> ()
   in
   let content = fresh () in
   let hlen = String.index content '\n' + 1 in

@@ -184,7 +184,7 @@ let arb_slice =
       let* head = int_range 0 (Mqdp.Instance.size inst - 1) in
       return (inst, l, head))
 
-let selections = [ (`Bucket_queue, "bucket"); (`Lazy_heap, "heap"); (`Linear_scan, "linear") ]
+let selections = [ (`Bucket_queue, "bucket"); (`Linear_scan, "linear") ]
 
 let equivalence_law lambda_of (inst, l, head) =
   let lambda = lambda_of l in
