@@ -263,17 +263,26 @@ let int_field = Util.Fs.int_field
 
 (* --- field codec, shared with Profile's blob --- *)
 
-let float_field f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
-
 let float_of_field s =
   match Int64.of_string_opt ("0x" ^ s) with
   | Some bits when String.length s = 16 -> Int64.float_of_bits bits
   | Some _ | None -> corrupt "bad float bit pattern %S" s
 
-let labels_field ls =
-  match Label_set.to_list ls with
-  | [] -> "-"
-  | labels -> String.concat "," (List.map string_of_int labels)
+(* Word by word rather than through Label_set.iter, which would cost a
+   closure per post. *)
+let add_labels b ls =
+  let first = ref true in
+  for wi = 0 to Label_set.word_count ls - 1 do
+    let word = Label_set.word ls wi in
+    for bit = 0 to Label_set.bits_per_word - 1 do
+      if word land (1 lsl bit) <> 0 then begin
+        if not !first then Buffer.add_char b ',';
+        first := false;
+        Util.Fs.add_int b ((wi * Label_set.bits_per_word) + bit)
+      end
+    done
+  done;
+  if !first then Buffer.add_char b '-'
 
 let labels_of_field s =
   if s = "-" then Label_set.empty
@@ -282,8 +291,12 @@ let labels_of_field s =
     if List.exists (fun a -> a < 0) labels then corrupt "negative label in post";
     Label_set.of_list labels
 
-let post_field p =
-  Printf.sprintf "%d %s %s" p.Post.id (float_field p.Post.value) (labels_field p.Post.labels)
+let add_post b p =
+  Util.Fs.add_int b p.Post.id;
+  Buffer.add_char b ' ';
+  Util.Fs.add_float_bits b p.Post.value;
+  Buffer.add_char b ' ';
+  add_labels b p.Post.labels
 
 (* A record, not [Post.make]: a post that was offered but not yet
    admitted may carry any timestamp, NaN included. *)
@@ -294,51 +307,73 @@ let post_of_fields = function
 
 let policy_name = function Drop -> "drop" | Clamp -> "clamp" | Raise -> "raise"
 
+(* Written token by token into the seal buffer, one image line per
+   source line: no line is formatted into an intermediate string, and the
+   window's posts are read straight out of its storage rather than
+   exported as a list. *)
 let checkpoint t =
   Util.Fs.seal ~magic ~version @@ fun b ->
-  let line fmt = Util.Fs.line b fmt in
-  let ints key l = line "%s %d %s" key (List.length l) (String.concat " " (List.map string_of_int l)) in
-  line "config %d %s %s %s %s" t.cfg.reorder_window (policy_name t.cfg.late)
-    (policy_name t.cfg.duplicate) (policy_name t.cfg.non_finite)
-    (match t.cfg.overload_budget with None -> "none" | Some n -> string_of_int n);
-  line "counters %d %d %d %d %d %d %d %d %d %d" t.c_accepted t.c_released t.c_reordered
-    t.c_late_dropped t.c_late_clamped t.c_duplicate_dropped t.c_non_finite_dropped
-    t.c_non_finite_clamped t.c_rejected t.c_shed;
-  line "watermark %s %s" (float_field t.watermark) (float_field t.high);
-  let seen = Hashtbl.fold (fun id () acc -> id :: acc) t.seen [] |> List.sort Int.compare in
-  ints "seen" seen;
+  let str s = Buffer.add_string b s
+  and int n = Util.Fs.add_int b n
+  and float f = Util.Fs.add_float_bits b f
+  and sp () = Buffer.add_char b ' '
+  and nl () = Buffer.add_char b '\n' in
+  let post_line p = str "p "; add_post b p; nl () in
+  (* "<key> <n> <id> ... <id>": an empty list keeps the space after 0 *)
+  let ints key ids =
+    str key; sp (); int (Array.length ids); sp ();
+    Array.iteri (fun i id -> if i > 0 then sp (); int id) ids;
+    nl ()
+  in
+  let policy p = sp (); str (policy_name p) in
+  let c = t.cfg in
+  str "config "; int c.reorder_window; policy c.late; policy c.duplicate; policy c.non_finite; sp ();
+  (match c.overload_budget with None -> str "none" | Some n -> int n);
+  nl ();
+  str "counters";
+  List.iter (fun n -> sp (); int n)
+    [ t.c_accepted; t.c_released; t.c_reordered; t.c_late_dropped; t.c_late_clamped;
+      t.c_duplicate_dropped; t.c_non_finite_dropped; t.c_non_finite_clamped; t.c_rejected;
+      t.c_shed ];
+  nl ();
+  str "watermark "; float t.watermark; sp (); float t.high; nl ();
+  ints "seen" (Util.Array_util.sorted_keys t.seen);
   let staged = Util.Heap.to_list t.buffer |> List.sort Post.compare_by_value in
-  line "buffer %d" (List.length staged);
-  List.iter (fun p -> line "p %s" (post_field p)) staged;
+  str "buffer "; int (List.length staged); nl ();
+  List.iter post_line staged;
   let s = Online.export t.engine in
-  line "engine %s %s" (float_field s.Online.snap_lambda)
-    (match s.Online.snap_mode with
-    | Online.Instant -> "instant"
-    | Online.Delayed { tau; plus } ->
-      Printf.sprintf "delayed %s %d" (float_field tau) (if plus then 1 else 0));
-  line "last %s"
-    (match s.Online.snap_last_time with None -> "none" | Some v -> float_field v);
+  str "engine "; float s.Online.snap_lambda;
+  (match s.Online.snap_mode with
+  | Online.Instant -> str " instant"
+  | Online.Delayed { tau; plus } -> str " delayed "; float tau; sp (); int (Bool.to_int plus));
+  nl ();
+  str "last "; (match s.Online.snap_last_time with None -> str "none" | Some v -> float v); nl ();
   ints "emitted" s.Online.snap_emitted;
   ints "degraded" s.Online.snap_degraded;
-  line "labels %d" (List.length s.Online.snap_labels);
+  str "labels "; int (List.length s.Online.snap_labels); nl ();
   List.iter
     (fun ls ->
-      line "label %d %d" ls.Online.snap_label (List.length ls.Online.snap_pending);
-      (match ls.Online.snap_last_out with
-      | None -> line "last none"
-      | Some p -> line "last %s" (post_field p));
-      List.iter (fun p -> line "p %s" (post_field p)) ls.Online.snap_pending)
+      str "label "; int ls.Online.snap_label; sp (); int (List.length ls.Online.snap_pending); nl ();
+      str "last "; (match ls.Online.snap_last_out with None -> str "none" | Some p -> add_post b p); nl ();
+      List.iter post_line ls.Online.snap_pending)
     s.Online.snap_labels;
   match Online.window t.engine with
-  | None -> line "window none"
+  | None -> str "window none\n"
   | Some w ->
-    let ws = Window_index.export w in
-    line "window %d %d %d %s %d" ws.Window_index.snap_expired
-      (List.length ws.Window_index.snap_posts)
-      (if ws.Window_index.snap_guarded then 1 else 0)
-      (float_field ws.Window_index.snap_guard_value)
-      ws.Window_index.snap_guard_id;
-    List.iter (fun p -> line "p %s" (post_field p)) ws.Window_index.snap_posts
+    let guarded, guard_value, guard_id = Window_index.guard w in
+    let n = Window_index.size w in
+    str "window "; int (Window_index.expired w); sp (); int n; sp (); int (Bool.to_int guarded); sp ();
+    float guard_value; sp (); int guard_id; nl ();
+    (* a post's labels, comma-separated after the first written since [start] *)
+    let start = ref 0 in
+    let label a = if Buffer.length b > !start then Buffer.add_char b ','; int a in
+    for i = 0 to n - 1 do
+      str "p "; int (Window_index.id w i); sp (); float (Window_index.value w i); sp ();
+      start := Buffer.length b;
+      Window_index.iter_labels w i label;
+      if Buffer.length b = !start then Buffer.add_char b '-';
+      nl ()
+    done
 
 (* --- parsing --- *)
 
@@ -362,13 +397,21 @@ let restore text =
   let expect = Util.Fs.expect cur in
   let count key = int_field key (Util.Fs.field cur key) in
   let posts n = List.init n (fun _ -> admitted_post (expect "p")) in
-  (* "<key> <n> <id> ... <id>" *)
+  (* "<key> <n> <id> ... <id>", exactly [n] ascending ids; the empty
+     list is "<key> 0 ". Anything else would restore to a state whose
+     checkpoint differs from the image it came from. *)
   let ints key =
     match expect key with
+    | [ "0"; "" ] -> [||]
     | n :: ids ->
       let n = int_field key n in
-      if List.length ids < n then corrupt "truncated %s list" key;
-      List.filteri (fun i _ -> i < n) ids |> List.map (int_field key)
+      let ids = Array.of_list (List.map (int_field key) ids) in
+      if n < 1 || Array.length ids <> n then
+        corrupt "%s line declares %d ids and holds %d" key n (Array.length ids);
+      for i = 1 to n - 1 do
+        if ids.(i - 1) >= ids.(i) then corrupt "%s ids not strictly ascending" key
+      done;
+      ids
     | [] -> corrupt "bad %s line" key
   in
   let cfg =
@@ -460,7 +503,7 @@ let restore text =
   let t = make cfg engine in
   t.watermark <- watermark;
   t.high <- high;
-  List.iter (fun id -> Hashtbl.replace t.seen id ()) seen;
+  Array.iter (fun id -> Hashtbl.replace t.seen id ()) seen;
   List.iter (fun p -> Util.Heap.push t.buffer p) staged;
   t.c_accepted <- cnt.(0);
   t.c_released <- cnt.(1);

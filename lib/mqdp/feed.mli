@@ -123,7 +123,8 @@ val watermark : t -> float option
     produces bit-identical emissions.
 
     {!restore} and {!load_checkpoint} raise {!Util.Fs.Corrupt} on damage
-    (checksum mismatch, bad magic, a structurally invalid body) and
+    (checksum mismatch, bad magic, a structurally invalid body, an id
+    list whose length or order is not the one {!checkpoint} writes) and
     {!Util.Fs.Unsupported_version} on an intact checkpoint of another
     format version. *)
 
@@ -141,16 +142,17 @@ val load_checkpoint : string -> t
 
 (** {2 Field codec}
 
-    The token encodings of checkpoints, shared with {!Profile.blob};
-    decoders raise {!Util.Fs.Corrupt}. Floats are 16-hex-digit IEEE-754
-    bit patterns, label sets comma-separated ints (["-"] for none), posts
-    ["<id> <value> <labels>"]. {!post_of_fields} takes the post's three
-    tokens and accepts any timestamp, NaN and infinities included: a post
-    offered to a profile has not met the non-finite policy yet. *)
+    The token encodings of checkpoints, shared with {!Profile.blob}.
+    Floats are 16-hex-digit IEEE-754 bit patterns
+    ({!Util.Fs.add_float_bits}), label sets ascending comma-separated
+    ints (["-"] for none), posts ["<id> <value> <labels>"]. Writers
+    append to a buffer; decoders raise {!Util.Fs.Corrupt}.
+    {!post_of_fields} takes the post's three tokens and accepts any
+    timestamp, NaN and infinities included: a post offered to a profile
+    has not met the non-finite policy yet. *)
 
-val float_field : float -> string
+val add_labels : Buffer.t -> Label_set.t -> unit
+val add_post : Buffer.t -> Post.t -> unit
 val float_of_field : string -> float
-val labels_field : Label_set.t -> string
 val labels_of_field : string -> Label_set.t
-val post_field : Post.t -> string
 val post_of_fields : string list -> Post.t

@@ -37,8 +37,8 @@ type snapshot = {
   snap_lambda : float;
   snap_mode : mode;
   snap_last_time : float option;
-  snap_emitted : int list;  (* ascending *)
-  snap_degraded : Label.t list;  (* ascending *)
+  snap_emitted : int array;  (* ascending *)
+  snap_degraded : Label.t array;  (* ascending *)
   snap_labels : label_snapshot list;  (* ascending by label *)
 }
 
@@ -382,10 +382,8 @@ let export t =
     snap_lambda = t.lambda;
     snap_mode = t.mode;
     snap_last_time = t.last_time;
-    snap_emitted =
-      Hashtbl.fold (fun id () acc -> id :: acc) t.emitted [] |> List.sort Int.compare;
-    snap_degraded =
-      Hashtbl.fold (fun a () acc -> a :: acc) t.degraded [] |> List.sort Int.compare;
+    snap_emitted = Util.Array_util.sorted_keys t.emitted;
+    snap_degraded = Util.Array_util.sorted_keys t.degraded;
     snap_labels;
   }
 
@@ -407,8 +405,8 @@ let import ?window s =
       | _ -> ()))
     s.snap_labels;
   let t = create ?window ~lambda:s.snap_lambda s.snap_mode in
-  List.iter (fun id -> Hashtbl.replace t.emitted id ()) s.snap_emitted;
-  List.iter (fun a -> Hashtbl.replace t.degraded a ()) s.snap_degraded;
+  Array.iter (fun id -> Hashtbl.replace t.emitted id ()) s.snap_emitted;
+  Array.iter (fun a -> Hashtbl.replace t.degraded a ()) s.snap_degraded;
   List.iter
     (fun ls ->
       let st = state t ls.snap_label in

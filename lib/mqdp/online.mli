@@ -119,8 +119,8 @@ type snapshot = {
   snap_lambda : float;
   snap_mode : mode;
   snap_last_time : float option;
-  snap_emitted : int list;  (** distinct emitted post ids, ascending *)
-  snap_degraded : Label.t list;  (** demoted labels, ascending *)
+  snap_emitted : int array;  (** distinct emitted post ids, ascending *)
+  snap_degraded : Label.t array;  (** demoted labels, ascending *)
   snap_labels : label_snapshot list;  (** ascending by label *)
 }
 

@@ -224,24 +224,29 @@ let revive t =
    Integrity is the enclosing shard snapshot's seal. *)
 
 let blob t =
-  let b = Buffer.create 1024 in
-  let line fmt = Util.Fs.line b fmt in
-  line "name %s" (String.escaped t.name);
-  line "flags %d %d %d" (Bool.to_int t.degraded) (Bool.to_int t.quarantined) t.crashes;
-  line "counters %d %d %d" t.acked t.applied t.rejected;
-  line "seqs %d %d" t.reported_upto t.ckpt_emit_seq;
-  line "limits %d %d" t.config.checkpoint_every t.config.max_restarts;
-  line "sub %s" (Feed.labels_field t.subscription);
-  line "ckpt %s" (String.escaped t.ckpt);
-  line "cb %d" (List.length t.ckpt_buffer);
+  let b = Buffer.create (String.length t.ckpt + 1024) in
+  let str s = Buffer.add_string b s
+  and sp () = Buffer.add_char b ' '
+  and nl () = Buffer.add_char b '\n' in
+  let ints key ns = str key; List.iter (fun n -> sp (); Util.Fs.add_int b n) ns; nl () in
+  let post_line p = str "p "; Feed.add_post b p; nl () in
+  str "name "; Util.Fs.add_escaped b t.name; nl ();
+  ints "flags" [ Bool.to_int t.degraded; Bool.to_int t.quarantined; t.crashes ];
+  ints "counters" [ t.acked; t.applied; t.rejected ];
+  ints "seqs" [ t.reported_upto; t.ckpt_emit_seq ];
+  ints "limits" [ t.config.checkpoint_every; t.config.max_restarts ];
+  str "sub "; Feed.add_labels b t.subscription; nl ();
+  str "ckpt "; Util.Fs.add_escaped b t.ckpt; nl ();
+  ints "cb" [ List.length t.ckpt_buffer ];
   List.iter
     (fun (seq, e) ->
-      line "e %d %s %s" seq (Feed.float_field e.Online.emit_time) (Feed.post_field e.Online.post))
+      str "e "; Util.Fs.add_int b seq; sp (); Util.Fs.add_float_bits b e.Online.emit_time; sp ();
+      Feed.add_post b e.Online.post; nl ())
     t.ckpt_buffer;
-  line "j %d" t.journal_n;
-  List.iter (fun p -> line "p %s" (Feed.post_field p)) (List.rev t.journal_rev);
-  line "pq %d" t.pending_n;
-  Queue.iter (fun p -> line "p %s" (Feed.post_field p)) t.pending_q;
+  ints "j" [ t.journal_n ];
+  List.iter post_line (List.rev t.journal_rev);
+  ints "pq" [ t.pending_n ];
+  Queue.iter post_line t.pending_q;
   Buffer.contents b
 
 let of_blob s =

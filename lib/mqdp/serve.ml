@@ -355,11 +355,15 @@ let handle_report t seq name =
   let profile = require_profile t name in
   let t0 = Util.Timer.now_ns () in
   let emissions = Profile.take_report profile in
+  let b = Buffer.create 64 in
   let lines =
     List.map
       (fun (eseq, e) ->
-        Printf.sprintf "%d EMIT %d %d %s" seq eseq e.Online.post.Post.id
-          (Feed.float_field e.Online.emit_time))
+        Buffer.clear b;
+        Util.Fs.add_int b seq; Buffer.add_string b " EMIT "; Util.Fs.add_int b eseq;
+        Buffer.add_char b ' '; Util.Fs.add_int b e.Online.post.Post.id;
+        Buffer.add_char b ' '; Util.Fs.add_float_bits b e.Online.emit_time;
+        Buffer.contents b)
       emissions
   in
   Util.Telemetry.observe m_report (Util.Timer.elapsed_since t0);
@@ -785,7 +789,9 @@ let manifest_version = 2
 
 let manifest ?(extra = []) t =
   Util.Fs.seal ~magic:manifest_magic ~version:manifest_version @@ fun b ->
-  List.iter (fun (k, v) -> Util.Fs.line b "%s=%d" k v) (("shards", Array.length t.shards) :: extra)
+  List.iter
+    (fun (k, v) -> Buffer.add_string b k; Buffer.add_char b '='; Util.Fs.add_int b v; Buffer.add_char b '\n')
+    (("shards", Array.length t.shards) :: extra)
 
 let parse_manifest s =
   let cur = Util.Fs.unseal ~magic:manifest_magic ~version:manifest_version s in

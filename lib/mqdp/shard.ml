@@ -120,12 +120,12 @@ let version = 2
 
 let snapshot t =
   Util.Fs.seal ~magic ~version @@ fun b ->
-  let line fmt = Util.Fs.line b fmt in
-  line "config %d %s" t.config.queue_capacity
-    (match t.config.tick_steps with None -> "none" | Some n -> string_of_int n);
-  line "counters %d %d %d" t.acked t.shed t.applied;
-  line "profiles %d" (Hashtbl.length t.table);
-  List.iter (fun p -> line "P %s" (String.escaped (Profile.blob p))) (profiles t)
+  let str s = Buffer.add_string b s and int n = Util.Fs.add_int b n in
+  str "config "; int t.config.queue_capacity;
+  (match t.config.tick_steps with None -> str " none\n" | Some n -> str " "; int n; str "\n");
+  str "counters "; int t.acked; str " "; int t.shed; str " "; int t.applied; str "\n";
+  str "profiles "; int (Hashtbl.length t.table); str "\n";
+  List.iter (fun p -> str "P "; Util.Fs.add_escaped b (Profile.blob p); str "\n") (profiles t)
 
 let restore s =
   let cur = Util.Fs.unseal ~magic ~version s in

@@ -331,19 +331,18 @@ let id t w =
   check_wpos t "id" w;
   Flat.Ints.get_u t.pids (t.phead + w - t.pbase)
 
+let iter_labels t w f =
+  check_wpos t "iter_labels" w;
+  let g = t.phead + w in
+  for u = Flat.Ints.get t.poff (g - t.pbase) to Flat.Ints.get t.poff (g + 1 - t.pbase) - 1 do
+    f (Flat.Ints.get_u t.slab (u - t.sbase))
+  done
+
 let post t w =
   check_wpos t "post" w;
-  let g = t.phead + w in
-  let s0 = Flat.Ints.get t.poff (g - t.pbase) in
-  let s1 = Flat.Ints.get t.poff (g + 1 - t.pbase) in
   let labels = ref Label_set.empty in
-  for u = s0 to s1 - 1 do
-    labels := Label_set.add (Flat.Ints.get_u t.slab (u - t.sbase)) !labels
-  done;
-  Post.make
-    ~id:(Flat.Ints.get_u t.pids (g - t.pbase))
-    ~value:(Flat.Floats.get_u t.pval (g - t.pbase))
-    ~labels:!labels
+  iter_labels t w (fun a -> labels := Label_set.add a !labels);
+  Post.make ~id:(id t w) ~value:(value t w) ~labels:!labels
 
 let find_position t (p : Post.t) =
   let v = p.Post.value and pid = p.Post.id in
@@ -660,6 +659,8 @@ let export t =
     snap_guard_id = t.lastid;
     snap_guarded = t.guarded;
   }
+
+let guard t = (t.guarded, t.lastv, t.lastid)
 
 let import lam s =
   if s.snap_expired < 0 then

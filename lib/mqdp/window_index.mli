@@ -100,6 +100,11 @@ val id : t -> int -> int
     (allocates; for export paths, not solve loops). *)
 val post : t -> int -> Post.t
 
+(** [iter_labels t w f] applies [f] to the labels of the post at window
+    position [w], ascending, allocating nothing: {!post} without the
+    reconstruction. *)
+val iter_labels : t -> int -> (Label.t -> unit) -> unit
+
 (** [find_position t post] — the {e arrival number} of a live post equal
     to [post] under {!Post.compare_by_value}, or -1 when absent.
     O(log size). *)
@@ -180,6 +185,12 @@ type snapshot = {
     own snapshot on import, and the marked-pair consumer
     ({!Stream_greedy}) is a batch simulation that never checkpoints. *)
 val export : t -> snapshot
+
+(** [guard t] is [(snap_guarded, snap_guard_value, snap_guard_id)] of
+    [export t]: the window's checkpoint header without its posts, which
+    a writer reads in place through {!expired}, {!size}, {!id}, {!value}
+    and {!iter_labels}. *)
+val guard : t -> bool * float * int
 
 (** [import lambda s] rebuilds a window: re-pushes the live posts (so
     arrival numbers resume at [snap_expired]) and restores the ordering

@@ -76,3 +76,9 @@ let sorted_ints_of_prefix a len =
     done;
     !acc
   end
+
+let sorted_keys tbl =
+  let a = Array.make (Hashtbl.length tbl) 0 in
+  let n = Hashtbl.fold (fun k _ i -> a.(i) <- k; i + 1) tbl 0 in
+  sort_ints_prefix a n;
+  a

@@ -29,3 +29,8 @@ val sort_ints_prefix : int array -> int -> unit
     in, a canonical cover out — allocation is exactly one [len] copy plus
     the result cells, with no [List.sort_uniq] intermediates. *)
 val sorted_ints_of_prefix : int array -> int -> int list
+
+(** [sorted_keys tbl] is the keys of [tbl] as an ascending array (one
+    entry per binding, so distinct when [tbl] was filled with
+    [Hashtbl.replace]). Allocates the array and nothing else. *)
+val sorted_keys : (int, 'a) Hashtbl.t -> int array

@@ -108,22 +108,113 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let fnv64_prefix s len =
   let h = ref 0xcbf29ce484222325L in
   for i = 0 to len - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get s i)))) 0x100000001b3L
   done;
   !h
 
-let fnv64 s = fnv64_prefix s (String.length s)
+let fnv64 s = fnv64_prefix (Bytes.unsafe_of_string s) (String.length s)
 let hex64 h = Printf.sprintf "%016Lx" h
-let line b fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt
 
-(* Two copies of the body, no more: [Buffer.contents] to hash it, and the
-   exact-size concatenation with the trailer. *)
+(* --- Field writers: the bytes of "%d", "%016Lx" and String.escaped,
+   appended in place, allocating nothing but buffer growth. --- *)
+
+let hex_digits = "0123456789abcdef"
+
+(* Digits of a non-positive [n], most significant first: negating a
+   positive int cannot overflow, negating [min_int] would. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+(* The two 32-bit halves as native ints, so no boxed int64 per digit. *)
+let add_float_bits b f =
+  let bits = Int64.bits_of_float f in
+  let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
+  let lo = Int64.to_int bits land 0xffff_ffff in
+  for i = 7 downto 0 do
+    Buffer.add_char b hex_digits.[(hi lsr (4 * i)) land 15]
+  done;
+  for i = 7 downto 0 do
+    Buffer.add_char b hex_digits.[(lo lsr (4 * i)) land 15]
+  done
+
+let add_escaped b s =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c < ' ' || c > '~' || c = '"' || c = '\\' then begin
+      Buffer.add_substring b s !start (i - !start);
+      start := i + 1;
+      Buffer.add_char b '\\';
+      match c with
+      | '\n' -> Buffer.add_char b 'n'
+      | '\t' -> Buffer.add_char b 't'
+      | '\r' -> Buffer.add_char b 'r'
+      | '\b' -> Buffer.add_char b 'b'
+      | '"' | '\\' -> Buffer.add_char b c
+      | c ->
+        let a = Char.code c in
+        Buffer.add_char b (Char.unsafe_chr (48 + (a / 100)));
+        Buffer.add_char b (Char.unsafe_chr (48 + (a / 10 mod 10)));
+        Buffer.add_char b (Char.unsafe_chr (48 + (a mod 10)))
+    end
+  done;
+  Buffer.add_substring b s !start (String.length s - !start)
+
+(* --- Sealing. Each domain owns one scratch buffer, so a steady stream
+   of checkpoints reuses its capacity instead of growing a fresh buffer
+   per image. A [seal] that finds the scratch busy (nested inside another
+   [seal]'s callback) writes into a fresh buffer instead; an exception in
+   the callback releases the scratch. After an image longer than
+   [scratch_cap] the scratch is reset to its initial size, so a domain
+   retains at most about twice that. --- *)
+
+type scratch = { buf : Buffer.t; mutable busy : bool }
+
+let scratch_cap = 1 lsl 20
+let scratch = Domain.DLS.new_key (fun () -> { buf = Buffer.create 4096; busy = false })
+
+(* One copy of the body: blitted into the exact-size image and hashed
+   there, the 26-byte "checksum <16 hex>\n" trailer written behind it. *)
+let finish b =
+  let n = Buffer.length b in
+  let image = Bytes.create (n + 26) in
+  Buffer.blit b 0 image 0 n;
+  Bytes.blit_string (Printf.sprintf "checksum %016Lx\n" (fnv64_prefix image n)) 0 image n 26;
+  Bytes.unsafe_to_string image
+
 let seal ~magic ~version write =
-  let b = Buffer.create 4096 in
-  line b "%s v%d" magic version;
-  write b;
-  let body = Buffer.contents b in
-  String.concat "" [ body; "checksum "; hex64 (fnv64 body); "\n" ]
+  let s = Domain.DLS.get scratch in
+  let owned = not s.busy in
+  let b = if owned then s.buf else Buffer.create 4096 in
+  let release () =
+    if owned then begin
+      if Buffer.length b > scratch_cap then Buffer.reset b else Buffer.clear b;
+      s.busy <- false
+    end
+  in
+  s.busy <- true;
+  match
+    Buffer.add_string b magic;
+    Buffer.add_string b " v";
+    add_int b version;
+    Buffer.add_char b '\n';
+    write b;
+    finish b
+  with
+  | image ->
+    release ();
+    image
+  | exception e ->
+    release ();
+    raise e
 
 type cursor = { text : string; mutable pos : int; stop : int }
 
@@ -173,7 +264,7 @@ let unseal ~magic ~version text =
     if String.contains text '\n' then (try header (cursor text) with Corrupt _ -> ());
     corrupt "missing checksum trailer"
   end;
-  if hex64 (fnv64_prefix text stop) <> String.sub text (stop + 9) 16 then corrupt "checksum mismatch";
+  if hex64 (fnv64_prefix (Bytes.unsafe_of_string text) stop) <> String.sub text (stop + 9) 16 then corrupt "checksum mismatch";
   let cur = { text; pos = 0; stop } in
   header cur;
   cur

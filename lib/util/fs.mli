@@ -92,11 +92,33 @@ exception Unsupported_version of { found : string; expected : int }
 val corrupt : ('a, unit, string, 'b) format4 -> 'a
 val fnv64 : string -> int64
 
-(** [line b fmt ...] appends the formatted text and a newline to [b]. *)
-val line : Buffer.t -> ('a, unit, string, unit) format4 -> 'a
+(** {3 Field writers}
+
+    Body lines are written token by token into the buffer {!seal} hands
+    its callback. Each writer appends exactly the bytes of the [Printf]
+    or [String] function it names and allocates nothing beyond buffer
+    growth. *)
+
+(** [add_int b n] appends [string_of_int n] (["%d"]). *)
+val add_int : Buffer.t -> int -> unit
+
+(** [add_float_bits b f] appends the IEEE-754 bit pattern of [f] as 16
+    lowercase hex digits (["%016Lx"] of [Int64.bits_of_float f]), so
+    every float, NaN payloads and [-0.] included, round-trips exactly. *)
+val add_float_bits : Buffer.t -> float -> unit
+
+(** [add_escaped b s] appends [String.escaped s]; {!unescape} inverts it. *)
+val add_escaped : Buffer.t -> string -> unit
 
 (** [seal ~magic ~version write]: the header, the lines [write] appends,
-    the checksum trailer. *)
+    the checksum trailer, as one exact-size string.
+
+    [write] fills a scratch buffer owned by the calling domain and reused
+    from one [seal] to the next; the body is copied once, into the
+    result, and hashed there. A [seal] nested inside another's [write]
+    gets a fresh buffer, an exception from [write] releases the scratch
+    and propagates, and the scratch shrinks back after an image over
+    1 MiB. [write] must not keep the buffer past its return. *)
 val seal : magic:string -> version:int -> (Buffer.t -> unit) -> string
 
 type cursor

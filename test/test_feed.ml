@@ -436,6 +436,125 @@ let crash_restore_property =
           run [] = run crashes)
         [ delayed ~tau:1. (); delayed ~plus:true ~tau:1. (); Mqdp.Online.Instant ])
 
+(* --- The field writers against the sprintf codec they replaced --- *)
+
+let oracle_float f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
+
+let oracle_labels ls =
+  match Mqdp.Label_set.to_list ls with
+  | [] -> "-"
+  | labels -> String.concat "," (List.map string_of_int labels)
+
+let oracle_post p =
+  Printf.sprintf "%d %s %s" p.Mqdp.Post.id (oracle_float p.Mqdp.Post.value)
+    (oracle_labels p.Mqdp.Post.labels)
+
+let written write x =
+  let b = Buffer.create 16 in
+  write b x;
+  Buffer.contents b
+
+(* Sign bits, -0., NaN payloads of both signs, infinities, subnormals and
+   arbitrary bit patterns. *)
+let gen_float =
+  let open QCheck.Gen in
+  let with_sign sign bits = Int64.float_of_bits (if sign then Int64.logor Int64.min_int bits else bits) in
+  let mantissa m = Int64.logand m 0x000f_ffff_ffff_ffffL in
+  oneof
+    [
+      map Int64.float_of_bits ui64;
+      oneofl
+        [ 0.; -0.; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan; Float.min_float;
+          -.Float.min_float; Float.max_float; 5e-324; -5e-324; 1.5; -2.75 ];
+      map2 (fun sign m -> with_sign sign (Int64.logor 0x7ff0_0000_0000_0001L (mantissa m))) bool ui64;
+      map2 (fun sign m -> with_sign sign (mantissa m)) bool ui64;
+    ]
+
+let gen_int = QCheck.Gen.(oneof [ int; oneofl [ max_int; min_int; 0; -1; 9; 10 ]; small_signed_int ])
+
+(* Empty sets, narrow ones, and sets spanning several 62-bit words. *)
+let gen_labels =
+  QCheck.Gen.(
+    map Mqdp.Label_set.of_list
+      (oneof [ return []; list_size (int_range 1 4) (int_range 0 70); list_size (int_range 0 60) (int_range 0 400) ]))
+
+let writers_property =
+  qtest ~count:1000 "field writers = the sprintf codec, byte for byte"
+    (QCheck.make
+       ~print:(fun (id, v, ls) -> oracle_post { Mqdp.Post.id; value = v; labels = ls })
+       QCheck.Gen.(triple gen_int gen_float gen_labels))
+    (fun (id, value, labels) ->
+      let p = { Mqdp.Post.id; value; labels } in
+      written Util.Fs.add_int id = string_of_int id
+      && written Util.Fs.add_float_bits value = oracle_float value
+      && written Mqdp.Feed.add_labels labels = oracle_labels labels
+      && written Mqdp.Feed.add_post p = oracle_post p)
+
+(* The window section is written from the index's storage, not from
+   [Window_index.export]: it must still be export's posts, rendered by
+   the old codec, and nothing after them but the trailer. *)
+let window_section_property =
+  qtest ~count:100 "window section read in place = export through the sprintf codec"
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 80) (pair (float_range 0. 60.) gen_labels)))
+    (fun arrivals ->
+      let feed =
+        Mqdp.Feed.create ~window:true ~lambda:7. (delayed ~plus:true ~tau:2. ())
+      in
+      List.iteri
+        (fun i (value, labels) -> ignore (Mqdp.Feed.push feed { Mqdp.Post.id = i; value; labels }))
+        arrivals;
+      let w = Option.get (Mqdp.Feed.window feed) in
+      let s = Mqdp.Window_index.export w in
+      let section =
+        Printf.sprintf "window %d %d %d %s %d\n" s.snap_expired (List.length s.snap_posts)
+          (Bool.to_int s.snap_guarded) (oracle_float s.snap_guard_value) s.snap_guard_id
+        ^ String.concat "" (List.map (fun p -> "p " ^ oracle_post p ^ "\n") s.snap_posts)
+      in
+      let image = Mqdp.Feed.checkpoint feed in
+      let tail = String.length section + 26 in
+      String.length image > tail
+      && String.sub image (String.length image - tail) (String.length section) = section)
+
+(* --- Checkpoint cost ------------------------------------------------ *)
+
+let big_window_feed ~seed =
+  let feed = Mqdp.Feed.create ~window:true ~lambda:480. (delayed ~tau:30. ()) in
+  for i = 1 to 600 do
+    ignore (Mqdp.Feed.push feed (mk (i + seed) (float_of_int i) [ (i + seed) mod 5; 1 + (i mod 3); 60 + (i mod 7) ]))
+  done;
+  feed
+
+(* Reusing the per-domain seal buffer and writing tokens in place leaves
+   a checkpoint allocating its image, the sorted id arrays and little
+   else: 1.39x the 20 KiB image here, where the sprintf codec allocated
+   150x. The 3x bound leaves room for other compilers and runtimes. *)
+let test_checkpoint_allocation_bound () =
+  let feed = big_window_feed ~seed:0 in
+  let live = Mqdp.Window_index.size (Option.get (Mqdp.Feed.window feed)) in
+  Alcotest.(check bool) (Printf.sprintf "about 500 live posts (%d)" live) true (live >= 450 && live <= 600);
+  ignore (Mqdp.Feed.checkpoint feed);
+  let before = Gc.allocated_bytes () in
+  let image = Mqdp.Feed.checkpoint feed in
+  let ratio = (Gc.allocated_bytes () -. before) /. float_of_int (String.length image) in
+  if ratio > 3. then
+    Alcotest.failf "checkpoint allocated %.2fx its %d-byte image (bound 3x)" ratio (String.length image)
+
+(* Each domain seals into its own scratch buffer: checkpoints taken on
+   four pool domains at once are the sequential bytes. *)
+let test_concurrent_checkpoints () =
+  let feeds = Array.init 16 (fun seed -> big_window_feed ~seed) in
+  let sequential = Array.map Mqdp.Feed.checkpoint feeds in
+  Util.Pool.with_pool ~jobs:4 (fun pool ->
+      for round = 1 to 4 do
+        let parallel = Util.Pool.parallel_map pool ~chunk:1 ~f:Mqdp.Feed.checkpoint feeds in
+        Array.iteri
+          (fun i image ->
+            if not (String.equal image sequential.(i)) then
+              Alcotest.failf "round %d: feed %d checkpoint differs under 4 domains" round i)
+          parallel
+      done)
+
 let suite =
   [
     Alcotest.test_case "transparent on a sorted stream" `Quick
@@ -461,4 +580,10 @@ let suite =
     Alcotest.test_case "atomic save survives torn writes" `Quick
       test_atomic_save_survives_torn_writes;
     crash_restore_property;
+    writers_property;
+    window_section_property;
+    Alcotest.test_case "windowed checkpoint allocation bound" `Quick
+      test_checkpoint_allocation_bound;
+    Alcotest.test_case "checkpoints on four domains = sequential" `Quick
+      test_concurrent_checkpoints;
   ]

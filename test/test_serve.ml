@@ -269,6 +269,74 @@ let test_sealed_images () =
         (Mqdp.Serve.shard_of_name ~shards name))
     [ ("alice", 4, 3); ("bob", 4, 0); ("carol", 7, 5); ("", 3, 0); ("profile-17", 16, 13) ]
 
+(* Restore reads id lists canonically: exactly the declared count,
+   strictly ascending, and "<key> 0 " for none. Each edit below is
+   re-sealed, so only the list check stands between it and a restored
+   state whose checkpoint differs from the image. *)
+let test_resealed_id_lists () =
+  let image = pinned_windowed in
+  let nl = String.index image '\n' in
+  let body = String.sub image (nl + 1) (String.length image - nl - 27) in
+  let reseal edit =
+    Util.Fs.seal ~magic:"mqdp-feed-checkpoint" ~version:2 (fun b ->
+        Buffer.add_string b
+          (String.concat "\n" (List.map edit (String.split_on_char '\n' body))))
+  in
+  Alcotest.(check string) "unedited re-seal restores canonically" image
+    (Mqdp.Feed.checkpoint (Mqdp.Feed.restore (reseal Fun.id)));
+  List.iter
+    (fun (from, to_) ->
+      let edited = reseal (fun l -> if l = from then to_ else l) in
+      Alcotest.(check bool) (Printf.sprintf "%S edited in" to_) false (String.equal edited image);
+      match Mqdp.Feed.restore edited with
+      | f ->
+        Alcotest.failf "%S restored (and re-checkpoints to %d other bytes)" to_
+          (String.length (Mqdp.Feed.checkpoint f))
+      | exception Util.Fs.Corrupt _ -> ())
+    [
+      ("seen 4 1 2 3 4", "seen 2 1 2 3");
+      ("seen 4 1 2 3 4", "seen 3 1 2 3 4");
+      ("seen 4 1 2 3 4", "seen 5 1 2 3 4");
+      ("seen 4 1 2 3 4", "seen 4 1 2 4 3");
+      ("seen 4 1 2 3 4", "seen 4 1 2 2 4");
+      ("seen 4 1 2 3 4", "seen -1 1 2 3 4");
+      ("emitted 0 ", "emitted 0 7");
+      ("emitted 0 ", "emitted 0");
+      ("degraded 0 ", "degraded 0  ");
+    ]
+
+let pin_shard () =
+  let shard = Mqdp.Shard.create { Mqdp.Shard.queue_capacity = 64; tick_steps = None } in
+  let profiles =
+    List.mapi
+      (fun k (name, window, labels) ->
+        let p =
+          Mqdp.Profile.create ~name ~subscription:(Mqdp.Label_set.of_list labels)
+            { Mqdp.Profile.default_config with window; checkpoint_every = 3 + k; lambda = 2.5 }
+        in
+        Mqdp.Shard.add shard p;
+        p)
+      [ ("plain", false, [ 1; 2 ]); ("win\"dowed\n", true, [ 2; 3; 70 ]); ("\tw\xe9", true, [ 1; 70 ]) ]
+  in
+  for i = 1 to 40 do
+    let value = if i = 37 then Float.nan else 0.75 *. float_of_int i in
+    let post = { Mqdp.Post.id = i; value; labels = Mqdp.Label_set.of_list [ 1 + (i mod 3); 70 * (i mod 2) ] } in
+    List.iter (fun p -> ignore (Mqdp.Shard.offer shard p post)) profiles;
+    if i mod 9 = 0 then ignore (Mqdp.Shard.tick shard)
+  done;
+  shard
+
+(* Profile blobs and shard snapshots are written by the same writers as
+   checkpoints; their bytes are pinned as the sprintf codec wrote them
+   (escaped names, windowed and plain profiles, a NaN pending post). *)
+let test_pinned_shard_snapshot () =
+  let image = Mqdp.Shard.snapshot (pin_shard ()) in
+  Alcotest.(check (pair int string)) "shard snapshot length and digest"
+    (5076, "1065649dc957d57e94a8af3e8bf8d07e")
+    (String.length image, Digest.to_hex (Digest.string image));
+  Alcotest.(check string) "snapshot restores canonically" image
+    (Mqdp.Shard.snapshot (Mqdp.Shard.restore image))
+
 (* --- Serve --------------------------------------------------------- *)
 
 let serve_config =
@@ -650,6 +718,10 @@ let suite =
       test_non_finite_posts_roundtrip;
     Alcotest.test_case "sealed images: damage, version skew, pinned bytes" `Quick
       test_sealed_images;
+    Alcotest.test_case "sealed images: id lists restore canonically" `Quick
+      test_resealed_id_lists;
+    Alcotest.test_case "sealed images: pinned shard snapshot bytes" `Quick
+      test_pinned_shard_snapshot;
     Alcotest.test_case "admission: duplicate, degrade, capacity" `Quick
       test_serve_admission;
     Alcotest.test_case "idempotent retry and stale-seq eviction" `Quick

@@ -616,6 +616,68 @@ let test_journal_rejects_damage () =
   Alcotest.(check (list string)) "damaged tail record dropped" [ "first" ]
     survivors
 
+(* --- Sealed-image writers and seal's scratch buffer ---------------- *)
+
+(* What [seal] must produce, built the slow way. *)
+let sealed ~magic body =
+  let text = magic ^ " v1\n" ^ body in
+  text ^ Printf.sprintf "checksum %016Lx\n" (Util.Fs.fnv64 text)
+
+let seal_string ~magic body = Util.Fs.seal ~magic ~version:1 (fun b -> Buffer.add_string b body)
+
+let add_escaped_property =
+  Helpers.qtest ~count:500 "add_escaped = String.escaped, and unescape inverts it"
+    QCheck.(string_gen_of_size Gen.(int_range 0 40) Gen.char)
+    (fun s ->
+      let b = Buffer.create 8 in
+      Buffer.add_string b "<";
+      Util.Fs.add_escaped b s;
+      Buffer.contents b = "<" ^ String.escaped s
+      && Util.Fs.unescape (String.escaped s) = s)
+
+(* A nested seal writes into a buffer of its own; an exception from a
+   callback, at either depth, leaves the next seal correct; an image past
+   the retention cap is still exact, and so is the small one after it. *)
+let test_seal_ownership () =
+  let inner = ref "" in
+  let outer =
+    Util.Fs.seal ~magic:"outer" ~version:1 (fun b ->
+        Buffer.add_string b "before\n";
+        inner :=
+          Util.Fs.seal ~magic:"inner" ~version:1 (fun b' ->
+              Alcotest.(check bool) "nested seal gets a buffer of its own" false (b == b');
+              Buffer.add_string b' "inside\n");
+        (match Util.Fs.seal ~magic:"dies" ~version:1 (fun b' -> Buffer.add_string b' "x"; raise Exit) with
+        | _ -> Alcotest.fail "nested seal swallowed its exception"
+        | exception Exit -> ());
+        Buffer.add_string b "after\n")
+  in
+  Alcotest.(check string) "outer image" (sealed ~magic:"outer" "before\nafter\n") outer;
+  Alcotest.(check string) "inner image" (sealed ~magic:"inner" "inside\n") !inner;
+  List.iter
+    (fun (magic, image, lines) ->
+      let cur = Util.Fs.unseal ~magic ~version:1 image in
+      Alcotest.(check (list string)) (magic ^ " unseals") lines
+        (List.map (fun _ -> Util.Fs.next cur) lines);
+      Alcotest.(check bool) (magic ^ " ends there") true (Util.Fs.at_end cur))
+    [ ("outer", outer, [ "before"; "after" ]); ("inner", !inner, [ "inside" ]) ];
+  (match Util.Fs.seal ~magic:"torn" ~version:1 (fun b -> Buffer.add_string b "half a li"; raise Exit) with
+  | _ -> Alcotest.fail "seal swallowed its callback's exception"
+  | exception Exit -> ());
+  Alcotest.(check string) "seal after an exception" (sealed ~magic:"next" "clean\n")
+    (seal_string ~magic:"next" "clean\n");
+  (* ...and the scratch was released: a seal into a fresh buffer would
+     allocate its 4 KiB first. *)
+  let before = Gc.allocated_bytes () in
+  ignore (seal_string ~magic:"next" "clean\n");
+  let spent = Gc.allocated_bytes () -. before in
+  if spent > 1024. then Alcotest.failf "a small seal allocated %.0f bytes: scratch not reused" spent;
+  let big = String.make (3 lsl 20) 'x' ^ "\n" in
+  Alcotest.(check bool) "image past the retention cap" true
+    (String.equal (sealed ~magic:"big" big) (seal_string ~magic:"big" big));
+  Alcotest.(check string) "small image after a large one" (sealed ~magic:"small" "s\n")
+    (seal_string ~magic:"small" "s\n")
+
 let test_journal_rewrite_compacts () =
   let dir = fs_temp_dir () in
   Fun.protect ~finally:(fun () -> Util.Fs.remove_tree dir) @@ fun () ->
@@ -982,6 +1044,8 @@ let suite =
       test_journal_rejects_damage;
     Alcotest.test_case "journal rewrite compacts atomically" `Quick
       test_journal_rewrite_compacts;
+    add_escaped_property;
+    Alcotest.test_case "seal: nesting, exceptions, retention cap" `Quick test_seal_ownership;
     Alcotest.test_case "fault injector determinism" `Quick test_fault_deterministic;
     Alcotest.test_case "fault clean config is identity" `Quick
       test_fault_clean_is_identity;
