@@ -31,7 +31,11 @@
    strategy, with a reused scratch solver, occasionally against a domain
    pool), and export/import round-trips — and after every solve
    cross-checks the cover bit-for-bit against a fresh Pair_index.build
-   over the materialized live posts, under fixed and per-post λ alike. *)
+   over the materialized live posts, under fixed and per-post λ alike.
+   Each solve also runs Supervisor.solve_window (the daemon's QUERY
+   path) against Supervisor.solve on the materialized posts, with a
+   random ladder and random tripped rungs, and demands the same rung,
+   cover and size. *)
 
 let random_instance rng =
   let n = 2 + Util.Rng.int rng 12 in
@@ -444,6 +448,44 @@ let one_window_round seed =
         live := List.rev (List.filteri (fun i _ -> i >= k) posts)
       end
   in
+  (* The daemon's QUERY path: the supervised ladder on the live window
+     must answer exactly as it does on the materialized copy, for a
+     random ladder start with a random number of its rungs tripped (so
+     fallbacks and the instant floor answer too). Its draws come from a
+     second generator, so the main stream is the same as without it. *)
+  let srng = Util.Rng.create (0x5EB0 + seed) in
+  let supervised_check slice =
+    let algorithms = Mqdp.Solver.all_algorithms in
+    let start = List.nth algorithms (Util.Rng.int srng (List.length algorithms)) in
+    let ladder = Mqdp.Supervisor.ladder_from start in
+    let tripped = Util.Rng.int srng (List.length ladder + 1) in
+    (* The exact rungs are exponential: past a small window they only
+       ever appear tripped. *)
+    let tripped =
+      match start with
+      | (Mqdp.Solver.Opt | Mqdp.Solver.Brute_force) when Mqdp.Instance.size slice > 16 ->
+        max 1 tripped
+      | _ -> tripped
+    in
+    let breaker () =
+      let b = Mqdp.Supervisor.Breaker.create ~threshold:1 ~cooldown:3600. () in
+      List.iteri
+        (fun i a ->
+          if i < tripped then
+            Mqdp.Supervisor.Breaker.record_failure b (Mqdp.Solver.algorithm_name a))
+        ladder;
+      b
+    in
+    let a = Mqdp.Supervisor.solve ~breaker:(breaker ()) ~ladder slice lambda in
+    let b = Mqdp.Supervisor.solve_window ~breaker:(breaker ()) ~ladder ~solver:wsolver w in
+    check ~seed
+      (String.equal a.Mqdp.Supervisor.answered_by b.Mqdp.Supervisor.answered_by
+      && List.equal Int.equal a.Mqdp.Supervisor.cover b.Mqdp.Supervisor.cover
+      && a.Mqdp.Supervisor.size = b.Mqdp.Supervisor.size)
+      (Printf.sprintf "supervised window solve (ladder from %s, %d tripped) diverged: %s vs %s"
+         (Mqdp.Solver.algorithm_name start) tripped a.Mqdp.Supervisor.answered_by
+         b.Mqdp.Supervisor.answered_by)
+  in
   let solve_and_check () =
     let posts = live_posts () in
     let slice = Mqdp.Instance.create posts in
@@ -462,6 +504,7 @@ let one_window_round seed =
           (List.equal Int.equal got reference)
           "windowed cover diverged from the fresh Pair_index")
       [ `Bucket_queue; `Linear_scan ];
+    supervised_check slice;
     if seed mod 8 = 0 then begin
       let pooled =
         Util.Pool.with_pool ~jobs:4 (fun pool ->

@@ -77,6 +77,10 @@ type t = {
   mutable journal_fsync : bool;
   mutable gsn : int;
   mutable journal_crash : int option;
+  (* QUERY's GreedySC scratch, reused by every solve on every profile's
+     window. Created by the first QUERY, so a daemon that never answers
+     one never holds it. *)
+  query_solver : Greedy_sc.window_solver Lazy.t;
 }
 
 let m_acked = Util.Telemetry.counter "serve.acked"
@@ -129,6 +133,7 @@ let create (config : config) =
     journal_fsync = true;
     gsn = 0;
     journal_crash = None;
+    query_solver = lazy (Greedy_sc.window_solver ());
   }
 
 let config t = t.config
@@ -377,22 +382,28 @@ let handle_query t seq name budget =
     match Profile.window profile with
     | None -> [ err seq "no-window" "profile %S keeps no window" name ]
     | Some w ->
-      let instance = Window_index.to_instance w in
-      let lambda = Coverage.Fixed (Profile.config profile).Profile.lambda in
       let report =
-        Supervisor.solve ~pool:t.pool ~budget ~breaker:(Profile.breaker profile)
-          ~ladder:(Supervisor.ladder_from Solver.Greedy_sc) instance lambda
+        Supervisor.solve_window ~budget ~breaker:(Profile.breaker profile)
+          ~ladder:(Supervisor.ladder_from Solver.Greedy_sc)
+          ~solver:(Lazy.force t.query_solver) w
       in
-      let ids =
-        List.map
-          (fun pos -> string_of_int (Instance.post instance pos).Post.id)
-          report.Supervisor.cover
-      in
-      [
-        ok seq "rung=%s size=%d cover=%s" report.Supervisor.answered_by
-          report.Supervisor.size
-          (match ids with [] -> "-" | _ -> String.concat "," ids);
-      ]
+      let b = Buffer.create 64 in
+      Util.Fs.add_int b seq;
+      Buffer.add_string b " OK rung=";
+      Buffer.add_string b report.Supervisor.answered_by;
+      Buffer.add_string b " size=";
+      Util.Fs.add_int b report.Supervisor.size;
+      Buffer.add_string b " cover=";
+      (match report.Supervisor.cover with
+      | [] -> Buffer.add_char b '-'
+      | first :: rest ->
+        Util.Fs.add_int b (Window_index.id w first);
+        List.iter
+          (fun pos ->
+            Buffer.add_char b ',';
+            Util.Fs.add_int b (Window_index.id w pos))
+          rest);
+      [ Buffer.contents b ]
 
 let json_escape s =
   let b = Buffer.create (String.length s) in

@@ -89,36 +89,22 @@ let compile ?(jobs = 1) ?budget instance lambda =
   if jobs = 1 then Pair_index.build ?budget instance lambda
   else Util.Pool.with_pool ~jobs (fun pool -> Pair_index.build ~pool ?budget instance lambda)
 
-let compile_window ?budget instance lambda =
-  Util.Telemetry.span ~name:"solver.compile_window" @@ fun () ->
-  let w = Window_index.create lambda in
-  let b =
-    match budget with
-    | Some b -> b
-    | None -> Util.Budget.unlimited
-  in
-  Array.iter
-    (fun p ->
-      Interrupt.step b;
-      Window_index.push w p)
-    (Instance.posts instance);
-  w
-
-let solve_window ?budget ?solver algorithm window =
+let solve_window ?budget ?solver ?seed ?(materialize = Window_index.to_instance) algorithm
+    window =
   let go () =
     Util.Telemetry.span ~name:("solve_window." ^ algorithm_name algorithm)
     @@ fun () ->
     match algorithm with
-    | Greedy_sc -> Greedy_sc.solve_window ~selection:`Bucket_queue ?solver ?budget window
+    | Greedy_sc ->
+      Greedy_sc.solve_window ~selection:`Bucket_queue ?solver ?budget ?seed window
     | Greedy_sc_linear ->
-      Greedy_sc.solve_window ~selection:`Linear_scan ?solver ?budget window
+      Greedy_sc.solve_window ~selection:`Linear_scan ?solver ?budget ?seed window
     | Opt | Brute_force | Scan | Scan_plus ->
       (* Documented slow path: these have no incremental formulation yet,
          so the live window is materialized as a fresh instance. Window
          positions and slice positions coincide, so the cover needs no
          translation. *)
-      run ?budget algorithm (Window_index.to_instance window)
-        (Window_index.lambda window)
+      run ?budget ?seed algorithm (materialize window) (Window_index.lambda window)
   in
   let cover, elapsed = Util.Timer.time_it go in
   { cover; size = List.length cover; elapsed }

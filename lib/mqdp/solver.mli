@@ -82,25 +82,20 @@ val compile :
     {!solve} on the same inputs. *)
 val solve_compiled : ?budget:Util.Budget.t -> algorithm -> Pair_index.t -> result
 
-(** [compile_window ?budget instance lambda] is the incremental mirror of
-    {!compile}: a {!Window_index} fed the instance's posts in order, ready
-    for {!solve_window} — and for further [push]/[expire_before] calls as
-    the stream moves on, which is the point. [budget] is charged one step
-    per post. *)
-val compile_window :
-  ?budget:Util.Budget.t -> Instance.t -> Coverage.lambda -> Window_index.t
-
-(** [solve_window ?budget ?solver algorithm window] solves the live window;
-    the cover holds window positions (ascending), which equal slice
-    positions of the same posts. For the GreedySC family this runs the
-    windowed kernel directly (reusing [solver]'s scratch when given, the
-    steady-state zero-allocation path); the remaining algorithms
-    materialize the window via {!Window_index.to_instance} first — correct
-    but O(size) per call. Covers are bit-identical to {!solve} on the
-    materialized window. *)
+(** [solve_window ?budget ?solver ?seed ?materialize algorithm window]
+    solves the live window; the cover holds window positions
+    (ascending), which equal slice positions of the same posts. For the
+    GreedySC family this runs the windowed kernel directly (reusing
+    [solver]'s scratch when given, the steady-state zero-allocation path;
+    [budget] is charged one linear-scan round for the window snapshot);
+    the remaining algorithms run through {!run} on [materialize window]
+    (default {!Window_index.to_instance}, O(size) per call — a caller
+    trying several algorithms on one window can pass a memoized one).
+    [seed] means what it means for {!run}. Covers are
+    bit-identical to {!solve} on the materialized window. *)
 val solve_window :
-  ?budget:Util.Budget.t -> ?solver:Greedy_sc.window_solver -> algorithm ->
-  Window_index.t -> result
+  ?budget:Util.Budget.t -> ?solver:Greedy_sc.window_solver -> ?seed:int list ->
+  ?materialize:(Window_index.t -> Instance.t) -> algorithm -> Window_index.t -> result
 
 val solve_stream :
   streaming_algorithm -> tau:float -> Instance.t -> Coverage.lambda -> streaming_result

@@ -143,8 +143,17 @@ let outcome_counter =
   | Refused _ -> refused
   | Skipped_breaker -> skipped
 
-let solve ?pool ?(budget = Util.Budget.unlimited) ?breaker
-    ?(ladder = default_ladder) instance lambda =
+(* What the ladder needs from the thing it solves: run one rung (seeded
+   with the positions salvaged so far), judge a candidate cover, and
+   produce the unguarded floor. [solve] builds one over an instance,
+   [solve_window] over a live window; the walk itself is shared. *)
+type problem = {
+  run : budget:Util.Budget.t -> seed:int list -> Solver.algorithm -> int list;
+  valid : int list -> bool;
+  floor : unit -> int list;
+}
+
+let walk ?(budget = Util.Budget.unlimited) ?breaker ?(ladder = default_ladder) problem =
   let start = Util.Timer.now_ns () in
   let attempts = ref [] in
   let record rung outcome seeded_with rung_elapsed =
@@ -160,7 +169,6 @@ let solve ?pool ?(budget = Util.Budget.unlimited) ?breaker
   let note_failure rung =
     Option.iter (fun b -> Breaker.record_failure b rung) breaker
   in
-  let valid cover = Coverage.is_cover instance lambda cover in
   let finish answered_by cover =
     {
       answered_by;
@@ -173,7 +181,7 @@ let solve ?pool ?(budget = Util.Budget.unlimited) ?breaker
   let rec walk seed = function
     | [] ->
       let t0 = Util.Timer.now_ns () in
-      let cover = union seed (instant_cover instance lambda) in
+      let cover = union seed (problem.floor ()) in
       record "instant" Answered (List.length seed) (Util.Timer.elapsed_since t0);
       finish "instant" cover
     | algorithm :: rest ->
@@ -199,10 +207,10 @@ let solve ?pool ?(budget = Util.Budget.unlimited) ?breaker
           Util.Telemetry.span
             ~name:("supervisor.rung." ^ rung)
             ~args:(fun () -> Util.Budget.spend_attrs rung_budget)
-            (fun () -> Solver.run ?pool ~budget:rung_budget ~seed algorithm instance lambda)
+            (fun () -> problem.run ~budget:rung_budget ~seed algorithm)
         in
         match run_rung () with
-        | cover when valid cover ->
+        | cover when problem.valid cover ->
           record rung Answered seeded (Util.Timer.elapsed_since t0);
           note_success rung;
           finish rung cover
@@ -215,7 +223,7 @@ let solve ?pool ?(budget = Util.Budget.unlimited) ?breaker
         | exception Interrupt.Budget_exceeded { reason; partial } ->
           let dt = Util.Timer.elapsed_since t0 in
           let salvage = union seed (Interrupt.positions_of partial) in
-          if valid salvage then begin
+          if problem.valid salvage then begin
             (* The salvage is already a complete cover (e.g. a
                branch-and-bound incumbent): answer with it. Still a breaker
                failure — the rung did not finish inside its budget. *)
@@ -246,3 +254,29 @@ let solve ?pool ?(budget = Util.Budget.unlimited) ?breaker
       end
   in
   walk [] ladder
+
+let solve ?pool ?budget ?breaker ?ladder instance lambda =
+  walk ?budget ?breaker ?ladder
+    {
+      run =
+        (fun ~budget ~seed algorithm ->
+          Solver.run ?pool ~budget ~seed algorithm instance lambda);
+      valid = Coverage.is_cover instance lambda;
+      floor = (fun () -> instant_cover instance lambda);
+    }
+
+let solve_window ?budget ?breaker ?ladder ?solver window =
+  let lambda = Window_index.lambda window in
+  (* The GreedySC rungs read the window in place; every other rung and
+     the floor share one materialized copy, built on first use. *)
+  let instance = lazy (Window_index.to_instance window) in
+  let materialize _ = Lazy.force instance in
+  walk ?budget ?breaker ?ladder
+    {
+      run =
+        (fun ~budget ~seed algorithm ->
+          (Solver.solve_window ~budget ?solver ~seed ~materialize algorithm window)
+            .Solver.cover);
+      valid = Window_index.is_cover window;
+      floor = (fun () -> instant_cover (materialize window) lambda);
+    }

@@ -110,3 +110,23 @@ val solve :
   Instance.t ->
   Coverage.lambda ->
   report
+
+(** [solve_window ?budget ?breaker ?ladder ?solver window] is
+    {!solve} on the live window, read in place: the GreedySC rungs run
+    {!Solver.solve_window} on [window] (with [solver]'s reusable
+    scratch), and every other rung and the instant floor share one
+    {!Window_index.to_instance} copy, built only if the ladder reaches
+    them. Candidate covers are judged by {!Window_index.is_cover}. Covers
+    are window positions, ascending. With an unlimited budget the report
+    ([answered_by], [cover], [size]) equals {!solve} on
+    [Window_index.to_instance window]; under a finite budget the rung
+    that answers can differ, because the windowed GreedySC charges one
+    linear-scan round for its snapshot where the compiled one charges
+    per post. *)
+val solve_window :
+  ?budget:Util.Budget.t ->
+  ?breaker:Breaker.t ->
+  ?ladder:Solver.algorithm list ->
+  ?solver:Greedy_sc.window_solver ->
+  Window_index.t ->
+  report

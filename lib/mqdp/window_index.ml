@@ -367,6 +367,91 @@ let to_instance t =
   let rec collect w acc = if w < 0 then acc else collect (w - 1) (post t w :: acc) in
   Instance.create (collect (n - 1) [])
 
+(* -------------------------------------------------------------------- *)
+(* Cover check                                                          *)
+
+let rec check_cover_range n = function
+  | [] -> ()
+  | w :: rest ->
+    if w < 0 || w >= n then
+      invalid_arg "Window_index.is_cover: position out of window";
+    check_cover_range n rest
+
+let rec ascending = function
+  | w :: (w' :: _ as rest) -> w <= w' && ascending rest
+  | [] | [ _ ] -> true
+
+(* the suffix of an ascending cover from its first position >= [w] *)
+let rec skip_below w = function
+  | c :: rest when c < w -> skip_below w rest
+  | cover -> cover
+
+(* One forward sweep per label over its live members in value order,
+   walking the ascending cover in lockstep to spot the chosen members.
+   Nothing here reads the scf/scl cursors the solver covers with: the
+   check judges a cover against the raw values and intervals.
+     - [left] is what the chosen members so far reach to the right:
+       under a fixed λ the value of the last one (a member at x is
+       covered iff x - left <= λ; rounding is monotone, so the nearest
+       chosen member is the best one), under a per-post λ the largest
+       shi. nan means "none yet", and compares false with everything.
+     - [pend] is the smallest member value not covered from the left
+       (valid while [pending]). A later chosen member z covers it iff
+       z - pend <= λ (fixed) or slo(z) <= pend (per-post), and then
+       covers every larger pending value too, so one value per label
+       suffices. Under a fixed λ a miss is final — later members sit
+       further right. *)
+let is_cover t cover =
+  check_cover_range (size t) cover;
+  let cover = if ascending cover then cover else List.sort_uniq Int.compare cover in
+  let fixed =
+    match t.lam with
+    | Coverage.Fixed _ -> true
+    | Coverage.Per_post_label _ -> false
+  in
+  let lam =
+    match t.lam with
+    | Coverage.Fixed l -> l
+    | Coverage.Per_post_label _ -> nan
+  in
+  let slo = Flat.Floats.unsafe_buf t.slo and shi = Flat.Floats.unsafe_buf t.shi in
+  let ok = ref true and a = ref 0 in
+  while !ok && !a < t.nlabels do
+    let h = t.lhead.(!a) and tot = t.ltotal.(!a) and lb = t.lbase.(!a) in
+    let buf = t.lbuf.(!a) and vals = Flat.Floats.unsafe_buf t.lvalv.(!a) in
+    let rest = ref cover in
+    let left = ref (if fixed then nan else neg_infinity) in
+    let pending = ref false and pend = ref 0. in
+    let m = ref h in
+    while !ok && !m < tot do
+      let ui = Flat.Ints.get_u buf (!m - lb) - t.sbase in
+      let wpos = Flat.Ints.get_u t.spost ui - t.phead in
+      let x = A1.unsafe_get vals (!m - lb) in
+      rest := skip_below wpos !rest;
+      let chosen = match !rest with c :: _ -> c = wpos | [] -> false in
+      if chosen then
+        if fixed then begin
+          if !pending then
+            if x -. !pend <= lam then pending := false else ok := false;
+          left := x
+        end
+        else begin
+          if !pending && A1.unsafe_get slo ui <= !pend then pending := false;
+          let hi = A1.unsafe_get shi ui in
+          if hi > !left then left := hi
+        end;
+      let covered = if fixed then x -. !left <= lam else x <= !left in
+      if (not covered) && not !pending then begin
+        pending := true;
+        pend := x
+      end;
+      incr m
+    done;
+    if !pending then ok := false;
+    incr a
+  done;
+  !ok
+
 let fully_covered t w =
   check_wpos t "fully_covered" w;
   let g = t.phead + w in

@@ -114,6 +114,19 @@ val find_position : t -> Post.t -> int
     the bridge to offline solvers (allocates O(size)). *)
 val to_instance : t -> Instance.t
 
+(** [is_cover t cover] — do the posts at window positions [cover] cover
+    every live (post, label) pair? {!Coverage.is_cover} on
+    [to_instance t], answered in place: one sweep per label over its
+    live members, O(live pairs + labels × |cover|), allocating nothing
+    when [cover] is ascending (any other order is sorted first). Under a
+    fixed λ it applies {!Coverage}'s own [|Δ| <= λ] test to the stored
+    values, so the two agree bit for bit; under a per-post λ it tests
+    the stored intervals [[v - r, v + r]] that the solvers cover with,
+    which agree with [|Δ| <= r] except where rounding [v ± r] moves an
+    endpoint across a member's value. Positions outside [[0, size t)]
+    raise [Invalid_argument], as in {!Coverage}. *)
+val is_cover : t -> int list -> bool
+
 (** {1 Marks and emission reach} *)
 
 (** [fully_covered t w] — are all of post [w]'s own pairs marked?

@@ -120,6 +120,21 @@ let hex64 h = Printf.sprintf "%016Lx" h
 
 let hex_digits = "0123456789abcdef"
 
+(* "%016Lx" of the 64-bit word whose 32-bit halves are [hi] and [lo],
+   passed as native ints so no digit works on a boxed int64. *)
+let add_hex_halves b hi lo =
+  for i = 7 downto 0 do
+    Buffer.add_char b hex_digits.[(hi lsr (4 * i)) land 15]
+  done;
+  for i = 7 downto 0 do
+    Buffer.add_char b hex_digits.[(lo lsr (4 * i)) land 15]
+  done
+
+let add_hex64 b h =
+  add_hex_halves b
+    (Int64.to_int (Int64.shift_right_logical h 32))
+    (Int64.to_int h land 0xffff_ffff)
+
 (* Digits of a non-positive [n], most significant first: negating a
    positive int cannot overflow, negating [min_int] would. *)
 let rec add_neg_digits b n =
@@ -133,17 +148,13 @@ let add_int b n =
   end
   else add_neg_digits b (-n)
 
-(* The two 32-bit halves as native ints, so no boxed int64 per digit. *)
+(* The halves are split here, where [bits] is an unboxed local, so a
+   float field boxes no int64 on its way to the writer. *)
 let add_float_bits b f =
   let bits = Int64.bits_of_float f in
-  let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
-  let lo = Int64.to_int bits land 0xffff_ffff in
-  for i = 7 downto 0 do
-    Buffer.add_char b hex_digits.[(hi lsr (4 * i)) land 15]
-  done;
-  for i = 7 downto 0 do
-    Buffer.add_char b hex_digits.[(lo lsr (4 * i)) land 15]
-  done
+  add_hex_halves b
+    (Int64.to_int (Int64.shift_right_logical bits 32))
+    (Int64.to_int bits land 0xffff_ffff)
 
 let add_escaped b s =
   let start = ref 0 in
@@ -182,12 +193,17 @@ let scratch_cap = 1 lsl 20
 let scratch = Domain.DLS.new_key (fun () -> { buf = Buffer.create 4096; busy = false })
 
 (* One copy of the body: blitted into the exact-size image and hashed
-   there, the 26-byte "checksum <16 hex>\n" trailer written behind it. *)
+   there. The 26-byte "checksum <16 hex>\n" trailer is appended to the
+   scratch behind the body (which is cleared after the seal anyway) and
+   blitted behind it. *)
 let finish b =
   let n = Buffer.length b in
   let image = Bytes.create (n + 26) in
   Buffer.blit b 0 image 0 n;
-  Bytes.blit_string (Printf.sprintf "checksum %016Lx\n" (fnv64_prefix image n)) 0 image n 26;
+  Buffer.add_string b "checksum ";
+  add_hex64 b (fnv64_prefix image n);
+  Buffer.add_char b '\n';
+  Buffer.blit b n image n 26;
   Bytes.unsafe_to_string image
 
 let seal ~magic ~version write =
@@ -280,7 +296,13 @@ module Journal = struct
   let render payload =
     if String.contains payload '\n' then
       invalid_arg "Fs.Journal: payload contains newline";
-    Printf.sprintf "R %016Lx %s\n" (fnv64 payload) payload
+    let b = Buffer.create (String.length payload + 20) in
+    Buffer.add_string b "R ";
+    add_hex64 b (fnv64 payload);
+    Buffer.add_char b ' ';
+    Buffer.add_string b payload;
+    Buffer.add_char b '\n';
+    Buffer.contents b
 
   (* A record line parses iff it is exactly [render payload] for some
      payload: the "R " tag, 16 hex digits, one space, checksummed body,

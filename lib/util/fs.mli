@@ -102,6 +102,11 @@ val fnv64 : string -> int64
 (** [add_int b n] appends [string_of_int n] (["%d"]). *)
 val add_int : Buffer.t -> int -> unit
 
+(** [add_hex64 b h] appends [Printf.sprintf "%016Lx" h]: 16 lowercase
+    hex digits, zero-padded. Journal records and seal trailers carry
+    their checksums in this form. *)
+val add_hex64 : Buffer.t -> int64 -> unit
+
 (** [add_float_bits b f] appends the IEEE-754 bit pattern of [f] as 16
     lowercase hex digits (["%016Lx"] of [Int64.bits_of_float f]), so
     every float, NaN payloads and [-0.] included, round-trips exactly. *)

@@ -70,10 +70,33 @@ let test_window_path_option_free () =
         [ "Option."; "Some "; "None" ])
     window_path_sources
 
+(* The daemon answers QUERY on the live window in place, through
+   Supervisor.solve_window; copying the window out per query was its
+   largest allocation. Only the window itself and the solve layers whose fallback
+   rungs need an instance may name the copy, so it cannot creep back into
+   the serving path unnoticed. *)
+let to_instance_allowed = [ "window_index.ml"; "solver.ml"; "supervisor.ml" ]
+
+let test_to_instance_confined () =
+  let lib = Filename.concat ".." "lib" in
+  let sources = ml_sources lib in
+  Alcotest.(check bool) "serve.ml is staged for linting" true
+    (List.exists (fun p -> Filename.basename p = "serve.ml") sources);
+  List.iter
+    (fun path ->
+      if
+        (not (List.mem (Filename.basename path) to_instance_allowed))
+        && contains ~needle:"to_instance" (read_file path)
+      then
+        Alcotest.failf "to_instance occurs in %s — solve the window in place" path)
+    sources
+
 let suite =
   [
     Alcotest.test_case "no Stdlib.compare under lib/ and bench/" `Quick
       test_no_polymorphic_compare;
     Alcotest.test_case "window path stays option-free" `Quick
       test_window_path_option_free;
+    Alcotest.test_case "to_instance stays out of the serving path" `Quick
+      test_to_instance_confined;
   ]

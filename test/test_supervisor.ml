@@ -475,6 +475,137 @@ let test_ladder_tiny_step_budgets () =
       r1.Mqdp.Supervisor.cover r2.Mqdp.Supervisor.cover
   done
 
+(* --- the ladder on a live window ------------------------------------ *)
+
+(* Per-post λ for the windowed checks (pure, as the window requires). *)
+let variable =
+  Mqdp.Coverage.Per_post_label
+    (fun p a -> 0.5 +. (0.1 *. float_of_int ((p.Mqdp.Post.id mod 7) + a)))
+
+(* A breaker with the first [k] rungs of [ladder] tripped: threshold 1
+   and an hour's cooldown, so each one is skipped for the whole test. *)
+let tripped ladder k =
+  let b = Mqdp.Supervisor.Breaker.create ~threshold:1 ~cooldown:3600. () in
+  List.iteri
+    (fun i a ->
+      if i < k then Mqdp.Supervisor.Breaker.record_failure b (Mqdp.Solver.algorithm_name a))
+    ladder;
+  b
+
+(* solve_window on a live window answers exactly as solve on its
+   materialized copy: for a ladder starting at every algorithm, with 0..all
+   of its rungs tripped, so fallbacks and the instant floor answer too. *)
+let window_matches_instance =
+  Helpers.qtest ~count:150 "solve_window = solve on to_instance"
+    Test_window_index.arb_slice
+    (fun (inst, l, head) ->
+      List.for_all
+        (fun lambda ->
+          let w = Test_window_index.window_of_slice lambda inst ~head in
+          let slice = Mqdp.Window_index.to_instance w in
+          let solver = Mqdp.Greedy_sc.window_solver () in
+          List.for_all
+            (fun start ->
+              let ladder = Mqdp.Supervisor.ladder_from start in
+              List.for_all
+                (fun k ->
+                  let a = Mqdp.Supervisor.solve ~breaker:(tripped ladder k) ~ladder slice lambda in
+                  let b =
+                    Mqdp.Supervisor.solve_window ~breaker:(tripped ladder k) ~ladder ~solver w
+                  in
+                  if
+                    a.Mqdp.Supervisor.answered_by <> b.Mqdp.Supervisor.answered_by
+                    || a.Mqdp.Supervisor.cover <> b.Mqdp.Supervisor.cover
+                    || a.Mqdp.Supervisor.size <> b.Mqdp.Supervisor.size
+                  then
+                    QCheck.Test.fail_reportf "ladder from %s, %d tripped: %s [%s] vs window %s [%s]"
+                      (Mqdp.Solver.algorithm_name start) k a.Mqdp.Supervisor.answered_by
+                      (String.concat ";" (List.map string_of_int a.Mqdp.Supervisor.cover))
+                      b.Mqdp.Supervisor.answered_by
+                      (String.concat ";" (List.map string_of_int b.Mqdp.Supervisor.cover));
+                  Mqdp.Coverage.is_cover slice lambda b.Mqdp.Supervisor.cover)
+                (List.init (List.length ladder + 1) Fun.id))
+            Mqdp.Solver.all_algorithms)
+        [ fixed l; variable ])
+
+(* The salvage handoff carries over to the window: GreedySC runs out of
+   steps after a few picks, and those picks seed the next rung — or, when
+   GreedySC is the last rung, are kept by the instant floor. *)
+let test_window_handoff () =
+  (* λ = 2: GreedySC's first picks are not ones the instant floor makes
+     anyway, so the floor's cover shows whether it kept them. *)
+  let inst = dense_instance ~posts:40 ~labels:4 ~spacing:0.5 in
+  let lambda = fixed 2.0 in
+  let w = Test_window_index.window_of_slice lambda inst ~head:0 in
+  let n = Mqdp.Window_index.size w in
+  (* GreedySC's half: the snapshot (n steps) plus three pops. *)
+  let budget = Util.Budget.create ~max_steps:(2 * (n + 3)) () in
+  let report =
+    Mqdp.Supervisor.solve_window ~budget
+      ~ladder:[ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Scan_plus ] w
+  in
+  (match report.Mqdp.Supervisor.attempts with
+  | first :: second :: _ ->
+    Alcotest.(check string) "greedy first" "greedy-sc" first.Mqdp.Supervisor.rung;
+    (match first.Mqdp.Supervisor.outcome with
+    | Mqdp.Supervisor.Exhausted Util.Budget.Steps -> ()
+    | o ->
+      Alcotest.failf "greedy outcome: expected exhausted (steps), got %s"
+        (Mqdp.Supervisor.outcome_to_string o));
+    (* The same half-budget, spent by GreedySC alone, salvages these. *)
+    let salvage =
+      match
+        Mqdp.Greedy_sc.solve_window ~budget:(Util.Budget.create ~max_steps:(n + 3) ()) w
+      with
+      | _ -> Alcotest.fail "GreedySC finished inside n + 3 steps"
+      | exception Mqdp.Interrupt.Budget_exceeded { partial; _ } ->
+        Mqdp.Interrupt.positions_of partial
+    in
+    Alcotest.(check bool) "GreedySC picked before running out" true (salvage <> []);
+    Alcotest.(check int) "its picks seed the next rung" (List.length salvage)
+      second.Mqdp.Supervisor.seeded_with;
+    List.iter
+      (fun p ->
+        Alcotest.(check bool)
+          (Printf.sprintf "salvaged position %d kept" p)
+          true
+          (List.mem p report.Mqdp.Supervisor.cover))
+      salvage
+  | attempts -> Alcotest.failf "expected >= 2 attempts, got %d" (List.length attempts));
+  check_valid "handed-off answer" (Mqdp.Window_index.to_instance w) lambda
+    report.Mqdp.Supervisor.cover;
+  (* Alone on the ladder, GreedySC gets the whole budget; the floor keeps its picks. *)
+  let budget () = Util.Budget.create ~max_steps:(n + 3) () in
+  let salvage =
+    match Mqdp.Greedy_sc.solve_window ~budget:(budget ()) w with
+    | _ -> Alcotest.fail "GreedySC finished inside n + 3 steps"
+    | exception Mqdp.Interrupt.Budget_exceeded { partial; _ } ->
+      Mqdp.Interrupt.positions_of partial
+  in
+  let floor =
+    Mqdp.Supervisor.solve_window ~budget:(budget ()) ~ladder:[ Mqdp.Solver.Greedy_sc ] w
+  in
+  Alcotest.(check string) "the floor answers" "instant" floor.Mqdp.Supervisor.answered_by;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "floor keeps salvaged position %d" p)
+        true
+        (List.mem p floor.Mqdp.Supervisor.cover))
+    salvage;
+  check_valid "floor answer" (Mqdp.Window_index.to_instance w) lambda
+    floor.Mqdp.Supervisor.cover;
+  (* What a rung does with its seed: the same as on the copy, on both the
+     in-place and the copying path. *)
+  let seed = [ 0; n / 2; n - 1 ] in
+  List.iter
+    (fun algorithm ->
+      Alcotest.(check (list int))
+        (Mqdp.Solver.algorithm_name algorithm ^ " seeded as on the copy")
+        (Mqdp.Solver.run ~seed algorithm (Mqdp.Window_index.to_instance w) lambda)
+        (Mqdp.Solver.solve_window ~seed algorithm w).Mqdp.Solver.cover)
+    [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_linear; Mqdp.Solver.Scan_plus ]
+
 let suite =
   [
     unlimited_is_transparent;
@@ -513,4 +644,6 @@ let suite =
       test_pool_preserves_budget_payload;
     Alcotest.test_case "compile honours cancellation" `Quick
       test_compile_cancellation;
+    window_matches_instance;
+    Alcotest.test_case "window ladder hands salvage on" `Quick test_window_handoff;
   ]

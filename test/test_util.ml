@@ -635,6 +635,37 @@ let add_escaped_property =
       Buffer.contents b = "<" ^ String.escaped s
       && Util.Fs.unescape (String.escaped s) = s)
 
+(* add_hex64 writes journal records' and seal trailers' checksums: it
+   must be the "%016Lx" it replaced, zero-padded, on the edge words and
+   on random ones. *)
+let add_hex64_property =
+  Helpers.qtest ~count:500 "add_hex64 = %016Lx"
+    (QCheck.make ~print:Int64.to_string
+       QCheck.Gen.(oneof [ oneofl [ 0L; 1L; Int64.min_int; Int64.max_int; -1L ]; int64 ]))
+    (fun h ->
+      let b = Buffer.create 4 in
+      Buffer.add_char b '<';
+      Util.Fs.add_hex64 b h;
+      String.equal (Buffer.contents b) ("<" ^ Printf.sprintf "%016Lx" h))
+
+(* A journal record is "R <%016Lx of the payload's FNV-1a> <payload>\n",
+   byte for byte; the oracle is the sprintf the writer replaced. *)
+let journal_record_property =
+  Helpers.qtest ~count:100 "journal record = R %016Lx payload"
+    QCheck.(string_gen_of_size Gen.(int_range 0 40) Gen.printable)
+    (fun payload ->
+      let payload = String.map (fun c -> if c = '\n' then ' ' else c) payload in
+      let dir = fs_temp_dir () in
+      Fun.protect ~finally:(fun () -> Util.Fs.remove_tree dir) @@ fun () ->
+      let path = Filename.concat dir "j" in
+      let j, _ = Util.Fs.Journal.open_ ~fsync:false ~kind:"t" path in
+      let header = In_channel.with_open_bin path In_channel.input_all in
+      Util.Fs.Journal.append ~fsync:false j payload;
+      Util.Fs.Journal.close j;
+      let content = In_channel.with_open_bin path In_channel.input_all in
+      String.equal content
+        (header ^ Printf.sprintf "R %016Lx %s\n" (Util.Fs.fnv64 payload) payload))
+
 (* A nested seal writes into a buffer of its own; an exception from a
    callback, at either depth, leaves the next seal correct; an image past
    the retention cap is still exact, and so is the small one after it. *)
@@ -1045,6 +1076,8 @@ let suite =
     Alcotest.test_case "journal rewrite compacts atomically" `Quick
       test_journal_rewrite_compacts;
     add_escaped_property;
+    add_hex64_property;
+    journal_record_property;
     Alcotest.test_case "seal: nesting, exceptions, retention cap" `Quick test_seal_ownership;
     Alcotest.test_case "fault injector determinism" `Quick test_fault_deterministic;
     Alcotest.test_case "fault clean config is identity" `Quick

@@ -268,6 +268,86 @@ let roundtrip_law (inst, l, head) =
   Alcotest.(check bool) "guard restored" false (Mqdp.Window_index.try_push restored stale);
   true
 
+(* --- the in-place cover check --------------------------------------- *)
+
+(* Windows up to 150 posts with up to all but one expired, so the label
+   and post storage compact (dead > live + 64) on the way; [picks] and
+   [drop] steer the covers drawn below. *)
+let arb_cover_case =
+  QCheck.make
+    ~print:(fun (inst, l, head, picks, drop) ->
+      Printf.sprintf "lambda=%g head=%d picks=[%s] drop=%d %s" l head
+        (String.concat ";" (List.map string_of_int picks))
+        drop (describe_instance inst))
+    QCheck.Gen.(
+      let* inst = gen_instance ~max_posts:150 ~max_labels:4 ~span:60. () in
+      (* whole λs too, so that integral values sit exactly λ apart *)
+      let* l = oneof [ gen_lambda; map float_of_int (int_range 0 3) ] in
+      let n = Mqdp.Instance.size inst in
+      (* One case in eight drains the window completely. *)
+      let* head = frequency [ (1, return n); (7, int_range 0 (n - 1)) ] in
+      let* picks = list_size (int_range 0 12) (int_range 0 1000) in
+      let* drop = int_range 0 1000 in
+      return (inst, l, head, picks, drop))
+
+let is_cover_law lambda_of (inst, l, head, picks, drop) =
+  let lambda = lambda_of l in
+  let w = window_of_slice lambda inst ~head in
+  let slice = Mqdp.Window_index.to_instance w in
+  let n = Mqdp.Window_index.size w in
+  let agree name cover =
+    let expected = Mqdp.Coverage.is_cover slice lambda cover in
+    let got = Mqdp.Window_index.is_cover w cover in
+    if got <> expected then
+      QCheck.Test.fail_reportf "%s [%s]: window says %b, Coverage says %b on %s" name
+        (String.concat ";" (List.map string_of_int cover))
+        got expected (describe_instance slice)
+  in
+  let raises name cover =
+    let raised f = match f () with _ -> false | exception Invalid_argument _ -> true in
+    if not (raised (fun () -> Mqdp.Coverage.is_cover slice lambda cover)) then
+      QCheck.Test.fail_reportf "Coverage accepted %s" name;
+    if not (raised (fun () -> Mqdp.Window_index.is_cover w cover)) then
+      QCheck.Test.fail_reportf "Window_index accepted %s" name
+  in
+  let answer = Mqdp.Greedy_sc.solve_window w in
+  agree "solver answer" answer;
+  if not (Mqdp.Window_index.is_cover w answer) then
+    QCheck.Test.fail_reportf "solver answer rejected on %s" (describe_instance slice);
+  agree "empty cover" [];
+  if answer <> [] then
+    agree "answer minus one" (List.filteri (fun i _ -> i <> drop mod List.length answer) answer);
+  if n > 0 then begin
+    (* unsorted, with repeats: the check sorts what is not ascending *)
+    agree "random subset" (List.map (fun p -> p mod n) picks);
+    agree "answer plus random picks" (List.map (fun p -> p mod n) picks @ answer);
+    agree "random subset, ascending" (List.sort_uniq Int.compare (List.map (fun p -> p mod n) picks))
+  end;
+  raises "position = size" (answer @ [ n ]);
+  raises "position -1" (-1 :: answer);
+  true
+
+(* The cover check reads the window in place: once warm, it allocates
+   nothing for an ascending cover under either λ kind. *)
+let test_is_cover_allocates_nothing () =
+  List.iter
+    (fun (name, lambda) ->
+      let w = Mqdp.Window_index.create lambda in
+      for i = 0 to 299 do
+        Mqdp.Window_index.push w
+          (w_post ~id:i ~value:(float_of_int i *. 0.7) [ i mod 5; (i * 3) mod 7 ])
+      done;
+      Mqdp.Window_index.expire_before w ~time:40.;
+      let cover = Mqdp.Greedy_sc.solve_window w in
+      Alcotest.(check bool) (name ^ ": answer is a cover") true
+        (Mqdp.Window_index.is_cover w cover);
+      let before = Gc.minor_words () in
+      for _ = 1 to 10 do
+        ignore (Mqdp.Window_index.is_cover w cover)
+      done;
+      Alcotest.(check (float 0.)) (name ^ ": minor words") 0. (Gc.minor_words () -. before))
+    [ ("fixed", fixed 1.5); ("per-post", variable) ]
+
 let suite =
   [
     Alcotest.test_case "flat ints" `Quick test_flat_ints;
@@ -284,4 +364,9 @@ let suite =
     qtest ~count:40 "window solve ≡ 4-domain solve" arb_slice equivalence_pooled_law;
     qtest ~count:150 "marked solve drains after full emission" arb_slice marked_law;
     qtest ~count:150 "export/import round-trip" arb_slice roundtrip_law;
+    qtest ~count:300 "is_cover ≡ Coverage.is_cover (fixed λ)" arb_cover_case
+      (is_cover_law (fun l -> fixed l));
+    qtest ~count:300 "is_cover ≡ Coverage.is_cover (per-post λ)" arb_cover_case
+      (is_cover_law (fun _ -> variable));
+    Alcotest.test_case "is_cover allocates nothing" `Quick test_is_cover_allocates_nothing;
   ]
