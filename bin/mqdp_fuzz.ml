@@ -5,7 +5,12 @@
 
    usage: mqdp_fuzz [--fault <drop|clamp|raise|mixed> | --budget | --window
                     | --serve | --transport]
-                    [seconds (default 10)] [start-seed (default 1)]
+                    [seconds (default 10) | --rounds N] [start-seed (default 1)]
+
+   A time-bounded run covers however many seeds fit in the time; with
+   --rounds N it runs exactly seeds start .. start+N-1, so the same
+   command checks the same rounds on any machine (dune runtest runs the
+   serve and fault arms this way).
 
    With --fault the tool switches from differential solver checks to the
    hardened-frontend torture loop: every round builds a clean stream,
@@ -1506,20 +1511,30 @@ let one_transport_round seed =
            (String.concat " | " (List.rev stream))))
     clean_streams
 
-let fuzz_loop ~seconds ~seed0 ~what round =
+type bound =
+  | Seconds of float
+  | Rounds of int
+
+let fuzz_loop ~bound ~seed0 ~what round =
   let start = Unix.gettimeofday () in
   let rounds = ref 0 and seed = ref seed0 in
+  let more () =
+    match bound with
+    | Seconds s -> Unix.gettimeofday () -. start < s
+    | Rounds n -> !rounds < n
+  in
   try
-    while Unix.gettimeofday () -. start < seconds do
+    while more () do
       round !seed;
       incr rounds;
       incr seed
     done;
     Printf.printf "fuzz[%s]: %d rounds clean in %.1fs (seeds %d..%d)\n" what !rounds
-      seconds seed0 (!seed - 1)
+      (Unix.gettimeofday () -. start) seed0 (!seed - 1)
   with
   | Discrepancy message ->
-    Printf.eprintf "fuzz[%s]: DISCREPANCY after %d rounds — %s\n" what !rounds message;
+    Printf.eprintf "fuzz[%s]: DISCREPANCY at seed %d after %d rounds — %s\n" what !seed
+      !rounds message;
     exit 1
   | e ->
     Printf.eprintf "fuzz[%s]: CRASH at seed %d — %s\n" what !seed (Printexc.to_string e);
@@ -1544,13 +1559,18 @@ let () =
     | _ :: rest -> (Diff, rest)
     | [] -> (Diff, [])
   in
-  let seconds = match rest with s :: _ -> float_of_string s | [] -> 10. in
-  let seed0 = match rest with _ :: s :: _ -> int_of_string s | _ -> 1 in
+  let bound, rest =
+    match rest with
+    | "--rounds" :: n :: rest -> (Rounds (int_of_string n), rest)
+    | s :: rest -> (Seconds (float_of_string s), rest)
+    | [] -> (Seconds 10., [])
+  in
+  let seed0 = match rest with s :: _ -> int_of_string s | [] -> 1 in
   match mode with
-  | Diff -> fuzz_loop ~seconds ~seed0 ~what:"diff" one_round
-  | Budget -> fuzz_loop ~seconds ~seed0 ~what:"budget" one_budget_round
-  | Window -> fuzz_loop ~seconds ~seed0 ~what:"window" one_window_round
-  | Serve -> fuzz_loop ~seconds ~seed0 ~what:"serve" one_serve_round
-  | Transport -> fuzz_loop ~seconds ~seed0 ~what:"transport" one_transport_round
+  | Diff -> fuzz_loop ~bound ~seed0 ~what:"diff" one_round
+  | Budget -> fuzz_loop ~bound ~seed0 ~what:"budget" one_budget_round
+  | Window -> fuzz_loop ~bound ~seed0 ~what:"window" one_window_round
+  | Serve -> fuzz_loop ~bound ~seed0 ~what:"serve" one_serve_round
+  | Transport -> fuzz_loop ~bound ~seed0 ~what:"transport" one_transport_round
   | Fault (name, policy) ->
-    fuzz_loop ~seconds ~seed0 ~what:("fault:" ^ name) (one_fault_round ~policy)
+    fuzz_loop ~bound ~seed0 ~what:("fault:" ^ name) (one_fault_round ~policy)

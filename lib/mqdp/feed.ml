@@ -168,85 +168,88 @@ let release t post =
   Util.Telemetry.incr m_released;
   es
 
+let rec release_over t limit acc =
+  if Util.Heap.length t.buffer <= limit then acc
+  else
+    match Util.Heap.pop t.buffer with
+    | None -> acc
+    | Some p -> release_over t limit (acc @ release t p)
+
 let drain_over t limit =
-  let rec loop acc =
-    if Util.Heap.length t.buffer <= limit then acc
-    else
-      match Util.Heap.pop t.buffer with
-      | None -> acc
-      | Some p -> loop (acc @ release t p)
-  in
-  let acc = loop [] in
+  let acc = release_over t limit [] in
   Util.Telemetry.set m_buffer_depth (Util.Heap.length t.buffer);
   shed_overload t acc
 
-let push t post =
-  let id = post.Post.id in
+type outcome = { admitted : Post.t option; emissions : Online.emission list }
+
+(* Every dropped post gets this one record: a drop allocates nothing. *)
+let dropped = { admitted = None; emissions = [] }
+
+(* The fault policies run in order — non-finite timestamp, duplicate id,
+   late arrival — and a clamp hands the moved post on to the next check.
+   Each stage is a plain call rather than a tuple of (post, value)
+   threaded through one body, so an admitted post costs its outcome and
+   nothing else here. *)
+let rec push t post =
   let value = post.Post.value in
   (* 1. Non-finite timestamps (includes NaN smuggled past Post.make via a
      record update). *)
-  let post, value =
-    if Float.is_finite value then (post, value)
-    else begin
-      match t.cfg.non_finite with
-      | Raise -> reject t ~id (Printf.sprintf "non-finite timestamp %h" value)
-      | Drop ->
-        t.c_non_finite_dropped <- t.c_non_finite_dropped + 1;
-        Util.Telemetry.incr m_non_finite_dropped;
-        raise_notrace Exit
-      | Clamp ->
-        let v = if t.watermark = neg_infinity then 0. else t.watermark in
-        t.c_non_finite_clamped <- t.c_non_finite_clamped + 1;
-        Util.Telemetry.incr m_non_finite_clamped;
-        ({ post with Post.value = v }, v)
-    end
-  in
-  (* 2. Duplicates: an id the frontend already admitted. *)
-  if Hashtbl.mem t.seen id then begin
+  if Float.is_finite value then check_duplicate t post
+  else
+    match t.cfg.non_finite with
+    | Raise -> reject t ~id:post.Post.id (Printf.sprintf "non-finite timestamp %h" value)
+    | Drop ->
+      t.c_non_finite_dropped <- t.c_non_finite_dropped + 1;
+      Util.Telemetry.incr m_non_finite_dropped;
+      dropped
+    | Clamp ->
+      let v = if t.watermark = neg_infinity then 0. else t.watermark in
+      t.c_non_finite_clamped <- t.c_non_finite_clamped + 1;
+      Util.Telemetry.incr m_non_finite_clamped;
+      check_duplicate t { post with Post.value = v }
+
+(* 2. Duplicates: an id the frontend already admitted. *)
+and check_duplicate t post =
+  if not (Hashtbl.mem t.seen post.Post.id) then check_late t post
+  else
     match t.cfg.duplicate with
-    | Raise -> reject t ~id "duplicate id"
+    | Raise -> reject t ~id:post.Post.id "duplicate id"
     | Drop | Clamp ->
       t.c_duplicate_dropped <- t.c_duplicate_dropped + 1;
       Util.Telemetry.incr m_duplicate_dropped;
-      raise_notrace Exit
-  end;
-  (* 3. Late: older than the release watermark — beyond what the reorder
-     buffer can absorb. *)
-  let post, value =
-    if value >= t.watermark then (post, value)
-    else begin
-      match t.cfg.late with
-      | Raise ->
-        reject t ~id
-          (Printf.sprintf "late arrival: %g behind watermark %g" value t.watermark)
-      | Drop ->
-        t.c_late_dropped <- t.c_late_dropped + 1;
-        Util.Telemetry.incr m_late_dropped;
-        raise_notrace Exit
-      | Clamp ->
-        t.c_late_clamped <- t.c_late_clamped + 1;
-        Util.Telemetry.incr m_late_clamped;
-        ({ post with Post.value = t.watermark }, t.watermark)
-    end
-  in
-  Hashtbl.replace t.seen id ();
+      dropped
+
+(* 3. Late: older than the release watermark — beyond what the reorder
+   buffer can absorb. *)
+and check_late t post =
+  if post.Post.value >= t.watermark then admit t post
+  else
+    match t.cfg.late with
+    | Raise ->
+      reject t ~id:post.Post.id
+        (Printf.sprintf "late arrival: %g behind watermark %g" post.Post.value t.watermark)
+    | Drop ->
+      t.c_late_dropped <- t.c_late_dropped + 1;
+      Util.Telemetry.incr m_late_dropped;
+      dropped
+    | Clamp ->
+      t.c_late_clamped <- t.c_late_clamped + 1;
+      Util.Telemetry.incr m_late_clamped;
+      admit t { post with Post.value = t.watermark }
+
+and admit t post =
+  Hashtbl.replace t.seen post.Post.id ();
   t.c_accepted <- t.c_accepted + 1;
   Util.Telemetry.incr m_accepted;
-  if value < t.high then begin
+  if post.Post.value < t.high then begin
     t.c_reordered <- t.c_reordered + 1;
     Util.Telemetry.incr m_reordered
   end
-  else t.high <- value;
+  else t.high <- post.Post.value;
   Util.Heap.push t.buffer post;
   Util.Telemetry.set m_buffer_depth (Util.Heap.length t.buffer);
-  (post, drain_over t t.cfg.reorder_window)
-
-type outcome = { admitted : Post.t option; emissions : Online.emission list }
-
-let push t post =
-  match push t post with
-  | admitted, emissions -> { admitted = Some admitted; emissions }
-  | exception Exit -> { admitted = None; emissions = [] }
+  let emissions = drain_over t t.cfg.reorder_window in
+  { admitted = Some post; emissions }
 
 let finish t =
   let es = drain_over t 0 in

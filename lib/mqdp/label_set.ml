@@ -81,15 +81,18 @@ let popcount word =
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s
 
+(* The last word of [a] is non-zero, so [a] has no more words than [b]
+   when it is a subset. A loop rather than [Array.iteri]: the fan-out asks
+   this once per delivery, and must not allocate a closure to do it. *)
 let subset a b =
-  let lb = Array.length b in
-  let ok = ref true in
-  Array.iteri
-    (fun i wa ->
-      let wb = if i < lb then b.(i) else 0 in
-      if wa land lnot wb <> 0 then ok := false)
-    a;
-  !ok
+  let la = Array.length a in
+  la <= Array.length b
+  &&
+  let i = ref 0 in
+  while !i < la && a.(!i) land lnot b.(!i) = 0 do
+    incr i
+  done;
+  !i = la
 
 let disjoint a b =
   let len = min (Array.length a) (Array.length b) in

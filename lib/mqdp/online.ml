@@ -14,6 +14,11 @@ type label_state = {
   mutable deadline : float;  (* infinity when nothing pending *)
 }
 
+(* The latest arrival's value, unboxed: an all-float record is stored
+   flat, so a push writes the float in place instead of allocating a
+   [Some v]. [arrived] tells whether [last] holds one yet. *)
+type arrival = { mutable last : float }
+
 type t = {
   lambda : float;
   lam : Coverage.lambda;  (* [Fixed lambda], for the shared geometry helpers *)
@@ -21,7 +26,8 @@ type t = {
   states : (Label.t, label_state) Hashtbl.t;
   mutable heap : (float * Label.t) Util.Heap.t;
   emitted : (int, unit) Hashtbl.t;  (* distinct emitted post ids *)
-  mutable last_time : float option;
+  arrival : arrival;
+  mutable arrived : bool;
   degraded : (Label.t, unit) Hashtbl.t;  (* labels demoted to instant handling *)
   mutable live_pending : int;  (* labels with a non-empty pending list *)
   window : Window_index.t option;  (* mirrored sliding window, when attached *)
@@ -67,7 +73,8 @@ let create ?window ~lambda mode =
     states = Hashtbl.create 16;
     heap = Util.Heap.create heap_cmp;
     emitted = Hashtbl.create 64;
-    last_time = None;
+    arrival = { last = neg_infinity };
+    arrived = false;
     degraded = Hashtbl.create 4;
     live_pending = 0;
     window;
@@ -96,9 +103,8 @@ let set_pending t st p =
   st.pending <- p
 
 let state t a =
-  match Hashtbl.find_opt t.states a with
-  | Some st -> st
-  | None ->
+  try Hashtbl.find t.states a
+  with Not_found ->
     let st = { pending = []; oldest = None; last_out = None; deadline = infinity } in
     Hashtbl.add t.states a st;
     st
@@ -273,24 +279,60 @@ let arrival_delayed t out post =
         end)
       post.Post.labels
 
-let arrival_instant t out post =
-  let covered =
-    Label_set.for_all
-      (fun a -> post.Post.value <= label_reach t a)
-      post.Post.labels
-  in
-  if not covered then begin
-    record_emission t out post post.Post.value;
-    Label_set.iter (fun a -> set_last_out t a (state t a) post) post.Post.labels
+(* [post.value <= label_reach t a], for the instant arrival: a bool
+   result and no float argument, so nothing is boxed across the call.
+   The windowless reach is [Coverage.reach] under [Fixed lambda],
+   written out. *)
+let reached t a post =
+  match t.window with
+  | Some w -> post.Post.value <= Window_index.emit_reach w a
+  | None -> (
+    match (state t a).last_out with
+    | Some z -> post.Post.value <= z.Post.value +. t.lambda
+    | None -> post.Post.value <= neg_infinity)
+
+(* The instant arrival runs once per post per profile, so it walks the
+   label words inline, as Window_index.push does: a covered arrival
+   allocates nothing. Labels are tested in ascending order and the walk
+   stops at the first uncovered one, as [Label_set.for_all] did. *)
+let arrival_instant t post =
+  let labels = post.Post.labels in
+  let words = Label_set.word_count labels in
+  let covered = ref true and wi = ref 0 in
+  while !covered && !wi < words do
+    let word = Label_set.word labels !wi and bit = ref 0 in
+    while !covered && !bit < Label_set.bits_per_word do
+      if word land (1 lsl !bit) <> 0 then
+        covered := reached t ((!wi * Label_set.bits_per_word) + !bit) post;
+      incr bit
+    done;
+    incr wi
+  done;
+  if !covered then []
+  else begin
+    Hashtbl.replace t.emitted post.Post.id ();
+    for wi = 0 to words - 1 do
+      let word = Label_set.word labels wi in
+      for bit = 0 to Label_set.bits_per_word - 1 do
+        if word land (1 lsl bit) <> 0 then begin
+          let a = (wi * Label_set.bits_per_word) + bit in
+          set_last_out t a (state t a) post
+        end
+      done
+    done;
+    [ { post; emit_time = post.Post.value } ]
   end
 
+(* [out] is newest first; most pushes emit nothing or one post. *)
+let in_emit_order = function
+  | ([] | [ _ ]) as out -> out
+  | out -> sort_emissions (List.rev out)
+
 let push t post =
-  (match t.last_time with
-  | Some previous when post.Post.value < previous ->
+  if t.arrived && post.Post.value < t.arrival.last then
     invalid_arg
       (Printf.sprintf "Online.push: post %d at %g arrives before %g" post.Post.id
-         post.Post.value previous)
-  | Some _ | None -> ());
+         post.Post.value t.arrival.last);
   (match t.window with
   | Some w ->
     (* Mirror the stream into the window. Expiry horizon: anything older
@@ -302,24 +344,24 @@ let push t post =
        frontend can release equal-value posts with non-ascending ids) are
        skipped: coverage reads go through the reach table, which is
        maintained independently of post storage. *)
-    (match t.last_time with
-    | Some prev -> Window_index.expire_before w ~time:(prev -. tau_of t -. t.lambda)
-    | None -> ());
+    if t.arrived then
+      Window_index.expire_before w ~time:(t.arrival.last -. tau_of t -. t.lambda);
     if Float.is_finite post.Post.value then ignore (Window_index.try_push w post)
   | None -> ());
-  t.last_time <- Some post.Post.value;
-  let out = ref [] in
-  (match t.mode with
+  t.arrival.last <- post.Post.value;
+  t.arrived <- true;
+  match t.mode with
   | Delayed _ ->
+    let out = ref [] in
     fire_due t out ~until:post.Post.value ~inclusive:false;
-    arrival_delayed t out post
-  | Instant -> arrival_instant t out post);
-  sort_emissions (List.rev !out)
+    arrival_delayed t out post;
+    in_emit_order !out
+  | Instant -> arrival_instant t post
 
 let finish t =
   let out = ref [] in
   fire_due t out ~until:infinity ~inclusive:true;
-  sort_emissions (List.rev !out)
+  in_emit_order !out
 
 let emitted_count t = Hashtbl.length t.emitted
 
@@ -327,7 +369,7 @@ let deadline_queue_length t = Util.Heap.length t.heap
 
 let pending_labels t = t.live_pending
 
-let last_arrival t = t.last_time
+let last_arrival t = if t.arrived then Some t.arrival.last else None
 
 let is_degraded t a = Hashtbl.mem t.degraded a
 
@@ -381,7 +423,7 @@ let export t =
   {
     snap_lambda = t.lambda;
     snap_mode = t.mode;
-    snap_last_time = t.last_time;
+    snap_last_time = last_arrival t;
     snap_emitted = Util.Array_util.sorted_keys t.emitted;
     snap_degraded = Util.Array_util.sorted_keys t.degraded;
     snap_labels;
@@ -421,5 +463,9 @@ let import ?window s =
       | oldest :: _ -> st.oldest <- Some oldest);
       refresh_deadline t ls.snap_label)
     s.snap_labels;
-  t.last_time <- s.snap_last_time;
+  (match s.snap_last_time with
+  | Some v ->
+    t.arrival.last <- v;
+    t.arrived <- true
+  | None -> ());
   t

@@ -100,12 +100,15 @@ let offer t post =
   t.pending_n <- t.pending_n + 1;
   t.acked <- t.acked + 1
 
-let note_emissions t emissions =
-  List.iter
-    (fun e ->
-      t.emit_seq <- t.emit_seq + 1;
-      t.buffer_rev <- (t.emit_seq, e) :: t.buffer_rev)
-    emissions
+(* A recursion, not [List.iter]: this runs for every applied post, and an
+   iteration closure would be allocated even when there is nothing to
+   note. *)
+let rec note_emissions t = function
+  | [] -> ()
+  | e :: rest ->
+    t.emit_seq <- t.emit_seq + 1;
+    t.buffer_rev <- (t.emit_seq, e) :: t.buffer_rev;
+    note_emissions t rest
 
 (* A [Raise]-policy rejection is a policy outcome, not a failure: the feed
    state is untouched, the post is consumed and counted. Replay reproduces

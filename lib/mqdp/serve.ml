@@ -33,14 +33,27 @@ let default_config =
 
 (* One record per live profile, shared between the name table and the
    label-inverted index so fan-out deduplication is one stamp compare.
-   Aliveness is physical equality with the name table's entry — a DEL or
-   re-ADD replaces the entry, and stale index references filter out
-   lazily. *)
+   Aliveness is physical equality with the name table's entry. Every path
+   that drops or replaces an entry (DEL, [load_shard]) prunes it from the
+   index at once, so the index holds live entries only. *)
 type entry = {
   e_name : string;
   e_shard : int;
+  e_labels : Label_set.t;  (* the subscription: the postings to prune *)
   mutable e_stamp : int;
 }
+
+(* One label's subscribers, [members.(0 .. count - 1)]. ADD appends, which
+   can break name order; [sorted] records whether it holds, and the first
+   FEED that reads the label after a change restores it. Pruning keeps the
+   order. Slots past [count] hold [no_entry]. *)
+type posting = {
+  mutable members : entry array;
+  mutable count : int;
+  mutable sorted : bool;
+}
+
+let no_entry = { e_name = ""; e_shard = -1; e_labels = Label_set.empty; e_stamp = -1 }
 
 (* One sequence space: the watermark and the retried-response cache. The
    engine owns a default session (stdin, replay, legacy callers); the
@@ -62,8 +75,14 @@ type t = {
   pool : Util.Pool.t;
   shards : Shard.t array;
   names : (string, entry) Hashtbl.t;
-  by_label : (Label.t, entry list ref) Hashtbl.t;
+  by_label : (Label.t, posting) Hashtbl.t;
   mutable stamp : int;
+  (* FEED scratch, reused by every fan-out: the postings of the post's
+     labels, one merge cursor per posting, and the merged matches. *)
+  mutable picked : posting array;
+  mutable cursors : int array;
+  mutable matches : entry array;
+  reply : Buffer.t;  (* FEED and TICK acks *)
   default_session : session;
   sessions : (string, session) Hashtbl.t;
   mutable chaos : (unit -> unit) option;
@@ -119,6 +138,10 @@ let create (config : config) =
     names = Hashtbl.create 1024;
     by_label = Hashtbl.create 256;
     stamp = 0;
+    picked = [||];
+    cursors = [||];
+    matches = [||];
+    reply = Buffer.create 64;
     default_session =
       {
         last_seq = 0;
@@ -161,13 +184,57 @@ let find_profile t name =
   | None -> None
   | Some entry -> Shard.find t.shards.(entry.e_shard) name
 
-let index_entry t entry subscription =
+let by_name a b = String.compare a.e_name b.e_name
+
+let posting_add p e =
+  let n = p.count in
+  if n = Array.length p.members then begin
+    let grown = Array.make (max 4 (2 * n)) no_entry in
+    Array.blit p.members 0 grown 0 n;
+    p.members <- grown
+  end;
+  (* appending after the greatest name keeps the order *)
+  p.sorted <- p.sorted && (n = 0 || by_name p.members.(n - 1) e < 0);
+  p.members.(n) <- e;
+  p.count <- n + 1
+
+(* Make [entry] the live one for its name and add it to the postings of
+   its subscription: O(labels), nothing sorted here. *)
+let register t entry =
+  Hashtbl.replace t.names entry.e_name entry;
   Label_set.iter
     (fun label ->
       match Hashtbl.find_opt t.by_label label with
-      | Some r -> r := entry :: !r
-      | None -> Hashtbl.add t.by_label label (ref [ entry ]))
-    subscription
+      | Some p -> posting_add p entry
+      | None -> Hashtbl.add t.by_label label { members = [| entry |]; count = 1; sorted = true })
+    entry.e_labels
+
+(* Drop the dead entries from the postings of [labels], keeping order. *)
+let prune t labels =
+  Label_set.iter
+    (fun label ->
+      match Hashtbl.find_opt t.by_label label with
+      | None -> ()
+      | Some p ->
+        let kept = ref 0 in
+        for i = 0 to p.count - 1 do
+          let e = p.members.(i) in
+          if alive t e then begin
+            p.members.(!kept) <- e;
+            incr kept
+          end
+        done;
+        Array.fill p.members !kept (p.count - !kept) no_entry;
+        p.count <- !kept)
+    labels
+
+let sort_posting p =
+  if not p.sorted then begin
+    let live = Array.sub p.members 0 p.count in
+    Array.sort by_name live;
+    Array.blit live 0 p.members 0 p.count;
+    p.sorted <- true
+  end
 
 let restart_shard t i =
   if i < 0 || i >= Array.length t.shards then
@@ -186,21 +253,28 @@ let load_shard t i snap =
   if i < 0 || i >= Array.length t.shards then
     invalid_arg "Serve.load_shard: shard out of range";
   let shard = Shard.restore snap in
-  (* Drop the name-table entries of the shard being replaced, then index
-     the restored profile set; stale label-index references filter out
-     lazily through the aliveness check. *)
+  (* Drop the name-table entries of the shard being replaced, index the
+     restored profile set, then prune every replaced entry — the shard's
+     old ones, and any same-named entry a restored profile displaced —
+     from the postings of their labels, each posting once. *)
   let stale =
-    Hashtbl.fold (fun name e acc -> if e.e_shard = i then name :: acc else acc)
-      t.names []
+    Hashtbl.fold (fun _ e acc -> if e.e_shard = i then e :: acc else acc) t.names []
   in
-  List.iter (Hashtbl.remove t.names) stale;
+  List.iter (fun e -> Hashtbl.remove t.names e.e_name) stale;
   t.shards.(i) <- shard;
-  List.iter
-    (fun profile ->
-      let entry = { e_name = Profile.name profile; e_shard = i; e_stamp = 0 } in
-      Hashtbl.replace t.names entry.e_name entry;
-      index_entry t entry (Profile.subscription profile))
-    (Shard.profiles shard)
+  let replaced =
+    List.fold_left
+      (fun replaced profile ->
+        let name = Profile.name profile in
+        let replaced =
+          match Hashtbl.find_opt t.names name with Some e -> e :: replaced | None -> replaced
+        in
+        register t
+          { e_name = name; e_shard = i; e_labels = Profile.subscription profile; e_stamp = 0 };
+        replaced)
+      stale (Shard.profiles shard)
+  in
+  prune t (List.fold_left (fun acc e -> Label_set.union acc e.e_labels) Label_set.empty replaced)
 
 (* {2 Wire protocol} *)
 
@@ -289,12 +363,81 @@ let handle_add t seq name lambda mode labels flags =
       if degrade then Profile.mark_degraded profile;
       let shard = shard_of_name ~shards:t.config.shards name in
       Shard.add t.shards.(shard) profile;
-      let entry = { e_name = name; e_shard = shard; e_stamp = 0 } in
-      Hashtbl.replace t.names name entry;
-      index_entry t entry subscription;
+      register t { e_name = name; e_shard = shard; e_labels = subscription; e_stamp = 0 };
       [ (if degrade then ok seq "added degraded" else ok seq "added") ]
     end
   end
+
+(* [t.picked.(0 .. k - 1)] := the non-empty postings of [labels], each in
+   name order. The label words are walked inline: no closure per FEED. *)
+let pick_postings t labels =
+  let k = ref 0 in
+  for wi = 0 to Label_set.word_count labels - 1 do
+    let word = Label_set.word labels wi in
+    for bit = 0 to Label_set.bits_per_word - 1 do
+      if word land (1 lsl bit) <> 0 then
+        match Hashtbl.find t.by_label ((wi * Label_set.bits_per_word) + bit) with
+        | exception Not_found -> ()
+        | p ->
+          if p.count > 0 then begin
+            sort_posting p;
+            if !k = Array.length t.picked then begin
+              t.picked <- Array.append t.picked (Array.make (max 4 !k) p);
+              t.cursors <- Array.make (Array.length t.picked) 0
+            end;
+            t.picked.(!k) <- p;
+            incr k
+          end
+    done
+  done;
+  !k
+
+(* Merge the [k] picked postings into [t.matches] in name order; returns
+   the match count. A posting holds an entry at most once and the live
+   names are distinct, so equal heads are one entry: the stamp keeps its
+   first occurrence. *)
+let merge_matches t k =
+  Array.fill t.cursors 0 k 0;
+  let n = ref 0 and more = ref true in
+  while !more do
+    let best = ref (-1) and best_e = ref no_entry in
+    for j = 0 to k - 1 do
+      let p = t.picked.(j) and c = t.cursors.(j) in
+      if c < p.count then begin
+        let e = p.members.(c) in
+        if !best < 0 || by_name e !best_e < 0 then begin
+          best := j;
+          best_e := e
+        end
+      end
+    done;
+    if !best < 0 then more := false
+    else begin
+      t.cursors.(!best) <- t.cursors.(!best) + 1;
+      let e = !best_e in
+      if e.e_stamp <> t.stamp then begin
+        e.e_stamp <- t.stamp;
+        if !n = Array.length t.matches then
+          t.matches <- Array.append t.matches (Array.make (max 16 !n) no_entry);
+        t.matches.(!n) <- e;
+        incr n
+      end
+    end
+  done;
+  !n
+
+(* "<seq> OK <k1><v1><k2><v2>", written without Printf into a reused
+   buffer: the FEED and TICK acks. *)
+let counts_ack t seq k1 v1 k2 v2 =
+  let b = t.reply in
+  Buffer.clear b;
+  Util.Fs.add_int b seq;
+  Buffer.add_string b " OK ";
+  Buffer.add_string b k1;
+  Util.Fs.add_int b v1;
+  Buffer.add_string b k2;
+  Util.Fs.add_int b v2;
+  Buffer.contents b
 
 let handle_feed t seq id value labels =
   let post =
@@ -303,48 +446,39 @@ let handle_feed t seq id value labels =
         ~labels:(parse_labels labels)
     with Invalid_argument m -> bad "%s" m
   in
-  (* Fan out through the inverted index; the stamp deduplicates a post
-     matching a profile on several labels. Matches deliver in name order
-     so queue-full shedding is deterministic. *)
+  (* Fan out through the inverted index, delivering in name order so
+     queue-full shedding is deterministic. A one-label post walks its
+     posting directly; a post on several labels merges theirs,
+     deduplicated by stamp. *)
   t.stamp <- t.stamp + 1;
-  let matches = ref [] in
-  Label_set.iter
-    (fun label ->
-      match Hashtbl.find_opt t.by_label label with
-      | None -> ()
-      | Some r ->
-        r := List.filter (alive t) !r;
-        List.iter
-          (fun e ->
-            if e.e_stamp <> t.stamp then begin
-              e.e_stamp <- t.stamp;
-              matches := e :: !matches
-            end)
-          !r)
-    post.Post.labels;
-  let matches =
-    List.sort (fun a b -> String.compare a.e_name b.e_name) !matches
-  in
+  let k = pick_postings t post.Post.labels in
+  let single = k = 1 in
+  let count = if single then t.picked.(0).count else merge_matches t k in
+  let members = if single then t.picked.(0).members else t.matches in
   let delivered = ref 0 and shed = ref 0 in
-  List.iter
-    (fun e ->
-      match Shard.find t.shards.(e.e_shard) e.e_name with
-      | None -> ()
-      | Some profile ->
-        let projected =
-          Label_set.inter post.Post.labels (Profile.subscription profile)
-        in
-        if not (Label_set.is_empty projected) then begin
-          let p =
-            Post.make ~id:post.Post.id ~value:post.Post.value ~labels:projected
-          in
-          if Shard.offer t.shards.(e.e_shard) profile p then incr delivered
-          else incr shed
-        end)
-    matches;
+  for i = 0 to count - 1 do
+    let e = members.(i) in
+    match Shard.find_exn t.shards.(e.e_shard) e.e_name with
+    | exception Not_found -> ()
+    | profile ->
+      (* Posts are immutable, so every profile whose subscription holds
+         all the post's labels shares the one record; the others get the
+         post projected onto their subscription. *)
+      let sub = Profile.subscription profile in
+      let offered =
+        if Label_set.subset post.Post.labels sub then post
+        else
+          Post.make ~id:post.Post.id ~value:post.Post.value
+            ~labels:(Label_set.inter post.Post.labels sub)
+      in
+      if not (Label_set.is_empty offered.Post.labels) then
+        if Shard.offer t.shards.(e.e_shard) profile offered then incr delivered
+        else incr shed
+  done;
+  if not single then Array.fill t.matches 0 count no_entry;
   Util.Telemetry.add m_acked !delivered;
   Util.Telemetry.add m_shed !shed;
-  [ ok seq "delivered=%d shed=%d" !delivered !shed ]
+  [ counts_ack t seq "delivered=" !delivered " shed=" !shed ]
 
 let handle_tick t seq budget =
   let applied = Array.make (Array.length t.shards) 0 in
@@ -354,7 +488,7 @@ let handle_tick t seq budget =
       applied.(i) <- Shard.tick ?chaos ?deadline t.shards.(i));
   let total = Array.fold_left ( + ) 0 applied in
   Util.Telemetry.add m_applied total;
-  [ ok seq "applied=%d backlog=%d" total (backlog t) ]
+  [ counts_ack t seq "applied=" total " backlog=" (backlog t) ]
 
 let handle_report t seq name =
   let profile = require_profile t name in
@@ -501,6 +635,7 @@ let handle t seq tokens =
       | None -> [ err seq "unknown-profile" "no such profile %S" name ]
       | Some e ->
         Hashtbl.remove t.names name;
+        prune t e.e_labels;
         ignore (Shard.remove t.shards.(e.e_shard) name);
         [ ok seq "deleted" ])
     | [ "FEED"; id; value; labels ] -> handle_feed t seq id value labels

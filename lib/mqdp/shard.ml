@@ -57,6 +57,7 @@ let remove t name =
     true
 
 let find t name = Hashtbl.find_opt t.table name
+let find_exn t name = Hashtbl.find t.table name
 let profile_count t = Hashtbl.length t.table
 
 let sorted_order t =

@@ -49,6 +49,10 @@ val add : t -> Profile.t -> unit
 val remove : t -> string -> bool
 
 val find : t -> string -> Profile.t option
+
+(** [find_exn t name] is {!find} without the option, for lookups made
+    once per delivery. Raises [Not_found] when there is no such profile. *)
+val find_exn : t -> string -> Profile.t
 val profile_count : t -> int
 
 (** Profiles in name order (the tick order). *)

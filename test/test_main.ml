@@ -29,6 +29,7 @@ let () =
       ("ranked", Test_ranked.suite);
       ("post-io", Test_post_io.suite);
       ("serve", Test_serve.suite);
+      ("fanout", Test_fanout.suite);
       ("transport", Test_transport.suite);
       ("lda", Test_lda.suite);
       ("workload", Test_workload.suite);

@@ -69,6 +69,25 @@ let test_instant_mode () =
     (List.length (Mqdp.Online.finish engine));
   Alcotest.(check int) "distinct emissions" 2 (Mqdp.Online.emitted_count engine)
 
+(* The instant arrival runs once per post per profile on the serving
+   path: once warm, an arrival covered on every label allocates nothing,
+   labels in a second bitset word included. *)
+let test_instant_covered_allocates_nothing () =
+  let engine = Mqdp.Online.create ~lambda:10. Mqdp.Online.Instant in
+  let labels = [ 0; 3; 70 ] in
+  Alcotest.(check int) "first post emitted" 1
+    (List.length (Mqdp.Online.push engine (mk 1 0. labels)));
+  let posts = Array.init 8 (fun i -> mk (i + 2) (float_of_int (i + 1)) labels) in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length posts - 1 do
+    match Mqdp.Online.push engine posts.(i) with
+    | [] -> ()
+    | _ -> Alcotest.fail "covered arrival emitted"
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before);
+  Alcotest.(check (option (float 0.))) "last arrival" (Some 8.)
+    (Mqdp.Online.last_arrival engine)
+
 let test_last_arrival () =
   let engine = delayed ~lambda:1. ~tau:1. () in
   Alcotest.(check (option (float 0.))) "initially none" None
@@ -424,6 +443,8 @@ let suite =
     Alcotest.test_case "create validation" `Quick test_create_validation;
     Alcotest.test_case "instant mode" `Quick test_instant_mode;
     Alcotest.test_case "last arrival" `Quick test_last_arrival;
+    Alcotest.test_case "covered instant arrival allocates nothing" `Quick
+      test_instant_covered_allocates_nothing;
     Alcotest.test_case "arrival at deadline boundary" `Quick
       test_arrival_at_deadline_boundary;
     Alcotest.test_case "deadline queue bounded" `Quick test_deadline_queue_bounded;

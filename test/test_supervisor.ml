@@ -606,6 +606,45 @@ let test_window_handoff () =
         (Mqdp.Solver.solve_window ~seed algorithm w).Mqdp.Solver.cover)
     [ Mqdp.Solver.Greedy_sc; Mqdp.Solver.Greedy_sc_linear; Mqdp.Solver.Scan_plus ]
 
+(* A fallback rung answers with what it makes of the salvage it is
+   handed. On this instance Scan+ runs out of steps with a partial cover,
+   and GreedySC seeded with it answers larger than GreedySC alone, so a
+   walk that dropped the seed would answer differently — through the
+   instance and through the window alike. *)
+let test_fallback_runs_seeded () =
+  let lambda = fixed 2.0 in
+  let w = Mqdp.Window_index.create lambda in
+  List.iteri
+    (fun id (value, labels) -> Mqdp.Window_index.push w (Helpers.post ~id ~value labels))
+    [ (2., [ 0; 2 ]); (3., [ 0 ]); (8., [ 0; 1 ]); (9., [ 1; 2 ]); (9., [ 0 ]); (10., [ 1 ]);
+      (10., [ 0 ]); (11., [ 1; 2 ]) ];
+  let inst = Mqdp.Window_index.to_instance w in
+  let ladder = [ Mqdp.Solver.Scan_plus; Mqdp.Solver.Greedy_sc ] in
+  let unseeded = Mqdp.Solver.run Mqdp.Solver.Greedy_sc inst lambda in
+  let check path ~steps ~scan ~answer =
+    (* Scan+ leads the ladder, so it runs on half the budget. *)
+    let salvage =
+      match scan (Util.Budget.create ~max_steps:(steps / 2) ()) with
+      | _ -> Alcotest.failf "%s: Scan+ finished inside %d steps" path (steps / 2)
+      | exception Mqdp.Interrupt.Budget_exceeded { partial; _ } ->
+        Mqdp.Interrupt.positions_of partial
+    in
+    let seeded = Mqdp.Solver.run ~seed:salvage Mqdp.Solver.Greedy_sc inst lambda in
+    Alcotest.(check bool) (path ^ ": the seed changes the answer's size") true
+      (List.length seeded <> List.length unseeded);
+    let report = answer (Util.Budget.create ~max_steps:steps ()) in
+    Alcotest.(check string) (path ^ ": GreedySC answers") "greedy-sc"
+      report.Mqdp.Supervisor.answered_by;
+    Alcotest.(check (list int)) (path ^ ": the seeded GreedySC cover") seeded
+      report.Mqdp.Supervisor.cover
+  in
+  check "solve" ~steps:61
+    ~scan:(fun budget -> Mqdp.Solver.run ~budget Mqdp.Solver.Scan_plus inst lambda)
+    ~answer:(fun budget -> Mqdp.Supervisor.solve ~budget ~ladder inst lambda);
+  check "solve_window" ~steps:44
+    ~scan:(fun budget -> (Mqdp.Solver.solve_window ~budget Mqdp.Solver.Scan_plus w).Mqdp.Solver.cover)
+    ~answer:(fun budget -> Mqdp.Supervisor.solve_window ~budget ~ladder w)
+
 let suite =
   [
     unlimited_is_transparent;
@@ -646,4 +685,5 @@ let suite =
       test_compile_cancellation;
     window_matches_instance;
     Alcotest.test_case "window ladder hands salvage on" `Quick test_window_handoff;
+    Alcotest.test_case "fallback rung runs seeded" `Quick test_fallback_runs_seeded;
   ]
