@@ -46,7 +46,12 @@ type counters = {
 type t = {
   cfg : config;
   engine : Online.t;
-  buffer : Post.t Util.Heap.t;  (* staged posts, min by (value, id) *)
+  (* The reorder buffer: staged posts ascending by (value, id) in a ring
+     of [Array.length ring] slots (a power of two, or 0), the smallest at
+     [head]. *)
+  mutable ring : Post.t array;
+  mutable head : int;
+  mutable staged : int;
   seen : (int, unit) Hashtbl.t;  (* ids ever admitted *)
   mutable watermark : float;  (* newest value released to the engine *)
   mutable high : float;  (* newest value ever admitted (reorder signal) *)
@@ -91,7 +96,9 @@ let make cfg engine =
   {
     cfg;
     engine;
-    buffer = Util.Heap.create Post.compare_by_value;
+    ring = [||];
+    head = 0;
+    staged = 0;
     seen = Hashtbl.create 256;
     watermark = neg_infinity;
     high = neg_infinity;
@@ -131,7 +138,7 @@ let counters t =
 
 let config t = t.cfg
 let engine t = t.engine
-let buffered t = Util.Heap.length t.buffer
+let buffered t = t.staged
 let watermark t = if t.watermark = neg_infinity then None else Some t.watermark
 
 let reject t ~id what =
@@ -168,16 +175,49 @@ let release t post =
   Util.Telemetry.incr m_released;
   es
 
+(* --- The reorder buffer. Kept sorted rather than heap-ordered: posts
+   mostly arrive in time order, so staging one is a single write at the
+   back, releasing is a read at the front, and a checkpoint writes the
+   buffer in order with no sort. A reordered arrival shifts the later
+   staged posts back one slot each, at most [reorder_window] of them. --- *)
+
+(* What a vacated slot holds, so no released post stays reachable. *)
+let vacant = { Post.id = 0; value = 0.; labels = Label_set.empty }
+
+let staged_at t i = t.ring.((t.head + i) land (Array.length t.ring - 1))
+
+let grow t =
+  let ring = Array.make (max 8 (2 * Array.length t.ring)) vacant in
+  for i = 0 to t.staged - 1 do
+    ring.(i) <- staged_at t i
+  done;
+  t.ring <- ring;
+  t.head <- 0
+
+let stage t post =
+  if t.staged = Array.length t.ring then grow t;
+  let mask = Array.length t.ring - 1 in
+  let i = ref t.staged in
+  while !i > 0 && Post.compare_by_value t.ring.((t.head + !i - 1) land mask) post > 0 do
+    t.ring.((t.head + !i) land mask) <- t.ring.((t.head + !i - 1) land mask);
+    decr i
+  done;
+  t.ring.((t.head + !i) land mask) <- post;
+  t.staged <- t.staged + 1
+
+let unstage t =
+  let post = t.ring.(t.head) in
+  t.ring.(t.head) <- vacant;
+  t.head <- (t.head + 1) land (Array.length t.ring - 1);
+  t.staged <- t.staged - 1;
+  post
+
 let rec release_over t limit acc =
-  if Util.Heap.length t.buffer <= limit then acc
-  else
-    match Util.Heap.pop t.buffer with
-    | None -> acc
-    | Some p -> release_over t limit (acc @ release t p)
+  if t.staged <= limit then acc else release_over t limit (acc @ release t (unstage t))
 
 let drain_over t limit =
   let acc = release_over t limit [] in
-  Util.Telemetry.set m_buffer_depth (Util.Heap.length t.buffer);
+  Util.Telemetry.set m_buffer_depth t.staged;
   shed_overload t acc
 
 type outcome = { admitted : Post.t option; emissions : Online.emission list }
@@ -246,8 +286,8 @@ and admit t post =
     Util.Telemetry.incr m_reordered
   end
   else t.high <- post.Post.value;
-  Util.Heap.push t.buffer post;
-  Util.Telemetry.set m_buffer_depth (Util.Heap.length t.buffer);
+  stage t post;
+  Util.Telemetry.set m_buffer_depth t.staged;
   let emissions = drain_over t t.cfg.reorder_window in
   { admitted = Some post; emissions }
 
@@ -310,73 +350,147 @@ let post_of_fields = function
 
 let policy_name = function Drop -> "drop" | Clamp -> "clamp" | Raise -> "raise"
 
-(* Written token by token into the seal buffer, one image line per
-   source line: no line is formatted into an intermediate string, and the
-   window's posts are read straight out of its storage rather than
-   exported as a list. *)
+let add_policy b p =
+  Buffer.add_char b ' ';
+  Buffer.add_string b (policy_name p)
+
+let add_count b n =
+  Buffer.add_char b ' ';
+  Util.Fs.add_int b n
+
+let add_post_line b p =
+  Buffer.add_string b "p ";
+  add_post b p;
+  Buffer.add_char b '\n'
+
+let rec add_post_lines b = function
+  | [] -> ()
+  | p :: rest ->
+    add_post_line b p;
+    add_post_lines b rest
+
+(* "<key> <n> <id> ... <id>" from [ids.(0 .. n-1)]: an empty list keeps
+   the space after 0. *)
+let add_ids b key ids n =
+  Buffer.add_string b key;
+  add_count b n;
+  Buffer.add_char b ' ';
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char b ' ';
+    Util.Fs.add_int b ids.(i)
+  done;
+  Buffer.add_char b '\n'
+
+let add_label_state b engine a =
+  let pending = Online.label_pending engine a in
+  Buffer.add_string b "label ";
+  Util.Fs.add_int b a;
+  add_count b (List.length pending);
+  Buffer.add_string b "\nlast ";
+  (match Online.label_last_out engine a with
+  | None -> Buffer.add_string b "none"
+  | Some p -> add_post b p);
+  Buffer.add_char b '\n';
+  add_post_lines b pending
+
+let add_label_states b engine labels n =
+  Buffer.add_string b "labels ";
+  Util.Fs.add_int b n;
+  Buffer.add_char b '\n';
+  for i = 0 to n - 1 do
+    add_label_state b engine labels.(i)
+  done
+
+(* The window's posts, read straight out of its storage: ids and labels
+   as ints, values through a writer that never boxes the float. *)
+let add_window b w =
+  let guarded, guard_value, guard_id = Window_index.guard w in
+  let n = Window_index.size w in
+  Buffer.add_string b "window ";
+  Util.Fs.add_int b (Window_index.expired w);
+  add_count b n;
+  add_count b (Bool.to_int guarded);
+  Buffer.add_char b ' ';
+  Util.Fs.add_float_bits b guard_value;
+  add_count b guard_id;
+  Buffer.add_char b '\n';
+  (* a post's labels, comma-separated after the first written since [start] *)
+  let start = ref 0 in
+  let label a =
+    if Buffer.length b > !start then Buffer.add_char b ',';
+    Util.Fs.add_int b a
+  in
+  for i = 0 to n - 1 do
+    Buffer.add_string b "p ";
+    Util.Fs.add_int b (Window_index.id w i);
+    Buffer.add_char b ' ';
+    Window_index.add_value_bits b w i;
+    Buffer.add_char b ' ';
+    start := Buffer.length b;
+    Window_index.iter_labels w i label;
+    if Buffer.length b = !start then Buffer.add_char b '-';
+    Buffer.add_char b '\n'
+  done
+
+(* Written token by token into the seal buffer, allocating the image and
+   a constant: the id lists are sorted in the per-domain int scratch
+   ({!Util.Array_util.with_sorted_keys}), the staged posts are already in
+   order, the engine's state is read in place rather than exported, and
+   the window is read out of its storage. *)
 let checkpoint t =
   Util.Fs.seal ~magic ~version @@ fun b ->
-  let str s = Buffer.add_string b s
-  and int n = Util.Fs.add_int b n
-  and float f = Util.Fs.add_float_bits b f
-  and sp () = Buffer.add_char b ' '
-  and nl () = Buffer.add_char b '\n' in
-  let post_line p = str "p "; add_post b p; nl () in
-  (* "<key> <n> <id> ... <id>": an empty list keeps the space after 0 *)
-  let ints key ids =
-    str key; sp (); int (Array.length ids); sp ();
-    Array.iteri (fun i id -> if i > 0 then sp (); int id) ids;
-    nl ()
-  in
-  let policy p = sp (); str (policy_name p) in
   let c = t.cfg in
-  str "config "; int c.reorder_window; policy c.late; policy c.duplicate; policy c.non_finite; sp ();
-  (match c.overload_budget with None -> str "none" | Some n -> int n);
-  nl ();
-  str "counters";
-  List.iter (fun n -> sp (); int n)
-    [ t.c_accepted; t.c_released; t.c_reordered; t.c_late_dropped; t.c_late_clamped;
-      t.c_duplicate_dropped; t.c_non_finite_dropped; t.c_non_finite_clamped; t.c_rejected;
-      t.c_shed ];
-  nl ();
-  str "watermark "; float t.watermark; sp (); float t.high; nl ();
-  ints "seen" (Util.Array_util.sorted_keys t.seen);
-  let staged = Util.Heap.to_list t.buffer |> List.sort Post.compare_by_value in
-  str "buffer "; int (List.length staged); nl ();
-  List.iter post_line staged;
-  let s = Online.export t.engine in
-  str "engine "; float s.Online.snap_lambda;
-  (match s.Online.snap_mode with
-  | Online.Instant -> str " instant"
-  | Online.Delayed { tau; plus } -> str " delayed "; float tau; sp (); int (Bool.to_int plus));
-  nl ();
-  str "last "; (match s.Online.snap_last_time with None -> str "none" | Some v -> float v); nl ();
-  ints "emitted" s.Online.snap_emitted;
-  ints "degraded" s.Online.snap_degraded;
-  str "labels "; int (List.length s.Online.snap_labels); nl ();
-  List.iter
-    (fun ls ->
-      str "label "; int ls.Online.snap_label; sp (); int (List.length ls.Online.snap_pending); nl ();
-      str "last "; (match ls.Online.snap_last_out with None -> str "none" | Some p -> add_post b p); nl ();
-      List.iter post_line ls.Online.snap_pending)
-    s.Online.snap_labels;
-  match Online.window t.engine with
-  | None -> str "window none\n"
-  | Some w ->
-    let guarded, guard_value, guard_id = Window_index.guard w in
-    let n = Window_index.size w in
-    str "window "; int (Window_index.expired w); sp (); int n; sp (); int (Bool.to_int guarded); sp ();
-    float guard_value; sp (); int guard_id; nl ();
-    (* a post's labels, comma-separated after the first written since [start] *)
-    let start = ref 0 in
-    let label a = if Buffer.length b > !start then Buffer.add_char b ','; int a in
-    for i = 0 to n - 1 do
-      str "p "; int (Window_index.id w i); sp (); float (Window_index.value w i); sp ();
-      start := Buffer.length b;
-      Window_index.iter_labels w i label;
-      if Buffer.length b = !start then Buffer.add_char b '-';
-      nl ()
-    done
+  Buffer.add_string b "config ";
+  Util.Fs.add_int b c.reorder_window;
+  add_policy b c.late;
+  add_policy b c.duplicate;
+  add_policy b c.non_finite;
+  (match c.overload_budget with
+  | None -> Buffer.add_string b " none"
+  | Some n -> add_count b n);
+  Buffer.add_string b "\ncounters";
+  add_count b t.c_accepted;
+  add_count b t.c_released;
+  add_count b t.c_reordered;
+  add_count b t.c_late_dropped;
+  add_count b t.c_late_clamped;
+  add_count b t.c_duplicate_dropped;
+  add_count b t.c_non_finite_dropped;
+  add_count b t.c_non_finite_clamped;
+  add_count b t.c_rejected;
+  add_count b t.c_shed;
+  Buffer.add_string b "\nwatermark ";
+  Util.Fs.add_float_bits b t.watermark;
+  Buffer.add_char b ' ';
+  Util.Fs.add_float_bits b t.high;
+  Buffer.add_char b '\n';
+  Util.Array_util.with_sorted_keys t.seen (add_ids b "seen");
+  Buffer.add_string b "buffer ";
+  Util.Fs.add_int b t.staged;
+  Buffer.add_char b '\n';
+  for i = 0 to t.staged - 1 do
+    add_post_line b (staged_at t i)
+  done;
+  let e = t.engine in
+  Buffer.add_string b "engine ";
+  Util.Fs.add_float_bits b (Online.lambda e);
+  (match Online.mode e with
+  | Online.Instant -> Buffer.add_string b " instant"
+  | Online.Delayed { tau; plus } ->
+    Buffer.add_string b " delayed ";
+    Util.Fs.add_float_bits b tau;
+    add_count b (Bool.to_int plus));
+  Buffer.add_string b "\nlast ";
+  (match Online.last_arrival e with
+  | None -> Buffer.add_string b "none"
+  | Some v -> Util.Fs.add_float_bits b v);
+  Buffer.add_char b '\n';
+  Online.with_emitted e (add_ids b "emitted");
+  Online.with_degraded e (add_ids b "degraded");
+  Online.with_labels e (add_label_states b e);
+  match Online.window e with
+  | None -> Buffer.add_string b "window none\n"
+  | Some w -> add_window b w
 
 (* --- parsing --- *)
 
@@ -507,7 +621,7 @@ let restore text =
   t.watermark <- watermark;
   t.high <- high;
   Array.iter (fun id -> Hashtbl.replace t.seen id ()) seen;
-  List.iter (fun p -> Util.Heap.push t.buffer p) staged;
+  List.iter (stage t) staged;
   t.c_accepted <- cnt.(0);
   t.c_released <- cnt.(1);
   t.c_reordered <- cnt.(2);

@@ -4,9 +4,10 @@
     finite timestamps, and a process that never dies. Real microblog
     traffic offers none of that. [Feed] sits in front and provides:
 
-    - a bounded {e reorder buffer}: arrivals are staged in a min-heap of
-      at most [reorder_window] posts and released to the engine in time
-      order, so disorder up to the window depth is absorbed silently;
+    - a bounded {e reorder buffer}: arrivals are staged, kept sorted by
+      (value, id), in a buffer of at most [reorder_window] posts and
+      released to the engine in time order, so disorder up to the window
+      depth is absorbed silently;
     - per-class {e fault policies}: arrivals that are late (older than the
       release watermark even after buffering), duplicates (an id already
       admitted), or carry a non-finite timestamp are dropped, clamped to
@@ -128,6 +129,9 @@ val watermark : t -> float option
     {!Util.Fs.Unsupported_version} on an intact checkpoint of another
     format version. *)
 
+(** [checkpoint t] allocates the image and a constant beyond it: id
+    lists are sorted in a per-domain scratch, and the staged buffer, the
+    engine and the window are read in place. *)
 val checkpoint : t -> string
 
 val restore : string -> t

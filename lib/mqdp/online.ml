@@ -234,13 +234,11 @@ let fire_due t out ~until ~inclusive =
   let rec loop () =
     match Util.Heap.peek t.heap with
     | Some (d, _) when due d -> begin
-      match Util.Heap.pop t.heap with
-      | Some entry ->
-        Util.Telemetry.incr m_heap_pops;
-        Util.Telemetry.set m_deadline_queue (Util.Heap.length t.heap);
-        fire t out entry;
-        loop ()
-      | None -> ()
+      let entry = Util.Heap.pop_exn t.heap in
+      Util.Telemetry.incr m_heap_pops;
+      Util.Telemetry.set m_deadline_queue (Util.Heap.length t.heap);
+      fire t out entry;
+      loop ()
     end
     | Some _ | None -> ()
   in
@@ -409,14 +407,33 @@ let degrade_earliest t ~now =
       credit_emission t latest;
       Some (a, List.length rest, sort_emissions (List.rev !out)))
 
+let with_emitted t f = Util.Array_util.with_sorted_keys t.emitted f
+let with_degraded t f = Util.Array_util.with_sorted_keys t.degraded f
+
+(* The labels [export] lists: those with a pending post or an output. *)
+let exported st = st.pending <> [] || st.last_out <> None
+
+let with_labels t f =
+  Util.Array_util.with_scratch (Hashtbl.length t.states) (fun labels ->
+      let n =
+        Hashtbl.fold
+          (fun a st i -> if exported st then (labels.(i) <- a; i + 1) else i)
+          t.states 0
+      in
+      Util.Array_util.sort_ints_prefix labels n;
+      f labels n)
+
+let label_pending t a = (Hashtbl.find t.states a).pending
+let label_last_out t a = (Hashtbl.find t.states a).last_out
+
 let export t =
   let snap_labels =
     Hashtbl.fold
       (fun a st acc ->
-        if st.pending = [] && st.last_out = None then acc
-        else
+        if exported st then
           { snap_label = a; snap_pending = st.pending; snap_last_out = st.last_out }
-          :: acc)
+          :: acc
+        else acc)
       t.states []
     |> List.sort (fun x y -> Int.compare x.snap_label y.snap_label)
   in

@@ -135,3 +135,28 @@ val export : t -> snapshot
     lambda/tau, a pending list that is not newest-first, or pending posts
     newer than the recorded last arrival). *)
 val import : ?window:Window_index.t -> snapshot -> t
+
+(** {2 Checkpoint reads}
+
+    What {!export} copies, read in place, so a checkpoint writer
+    allocates only the bytes it writes. Each [with_*] calls its function
+    with [ids.(0 .. n-1)] ascending, in {!Util.Array_util.with_scratch}'s
+    per-domain array, valid only during the call. *)
+
+(** [with_emitted t f] — the distinct emitted post ids ({!snapshot}'s
+    [snap_emitted]). *)
+val with_emitted : t -> (int array -> int -> 'a) -> 'a
+
+(** [with_degraded t f] — the demoted labels ([snap_degraded]). *)
+val with_degraded : t -> (int array -> int -> 'a) -> 'a
+
+(** [with_labels t f] — the labels {!export} lists in [snap_labels]:
+    those with a pending post or a last output. *)
+val with_labels : t -> (int array -> int -> 'a) -> 'a
+
+(** [label_pending t a] / [label_last_out t a] — [snap_pending] and
+    [snap_last_out] of a label {!with_labels} lists. Raise [Not_found]
+    for a label the engine has never seen. *)
+val label_pending : t -> Label.t -> Post.t list
+
+val label_last_out : t -> Label.t -> Post.t option

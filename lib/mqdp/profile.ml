@@ -29,11 +29,14 @@ type t = {
      only ever reads it — the live feed is the one thing rebuilt. *)
   mutable ckpt : string;
   mutable ckpt_emit_seq : int;
-  mutable ckpt_buffer : (int * Online.emission) list;  (* ascending *)
-  mutable journal_rev : Post.t list;  (* applied since ckpt, newest first *)
-  mutable journal_n : int;
-  pending_q : Post.t Queue.t;
-  mutable pending_n : int;
+  mutable ckpt_buffer_rev : (int * Online.emission) list;  (* newest first *)
+  (* The post log: [log.(lo .. ap-1)] is the journal (applied since
+     [ckpt]), [log.(ap .. hi-1)] the pending posts (acknowledged, not yet
+     applied), oldest first. Slots outside [lo, hi) hold [vacant]. *)
+  mutable log : Post.t array;
+  mutable lo : int;
+  mutable ap : int;
+  mutable hi : int;
   mutable emit_seq : int;
   mutable reported_upto : int;
   mutable buffer_rev : (int * Online.emission) list;  (* newest first *)
@@ -42,6 +45,8 @@ type t = {
   mutable rejected : int;
   breaker : Supervisor.Breaker.t;
 }
+
+let vacant = { Post.id = 0; value = 0.; labels = Label_set.empty }
 
 let make_feed (config : config) =
   Feed.create ~config:config.feed ~window:config.window ~lambda:config.lambda
@@ -65,11 +70,11 @@ let create ~name ~subscription config =
     feed;
     ckpt = Feed.checkpoint feed;
     ckpt_emit_seq = 0;
-    ckpt_buffer = [];
-    journal_rev = [];
-    journal_n = 0;
-    pending_q = Queue.create ();
-    pending_n = 0;
+    ckpt_buffer_rev = [];
+    log = [||];
+    lo = 0;
+    ap = 0;
+    hi = 0;
     emit_seq = 0;
     reported_upto = 0;
     buffer_rev = [];
@@ -86,7 +91,7 @@ let degraded t = t.degraded
 let mark_degraded t = t.degraded <- true
 let quarantined t = t.quarantined
 let crashes t = t.crashes
-let pending t = t.pending_n
+let pending t = t.hi - t.ap
 let unreported t = List.length t.buffer_rev
 let acked t = t.acked
 let applied t = t.applied
@@ -94,10 +99,29 @@ let rejected t = t.rejected
 let window t = Feed.window t.feed
 let breaker t = t.breaker
 
+(* Make room for one more post at [hi]: slide the live range [lo, hi)
+   to the front when a checkpoint has freed the slots before it, else
+   double the array. *)
+let make_room t =
+  let live = t.hi - t.lo in
+  if live < Array.length t.log / 2 then begin
+    Array.blit t.log t.lo t.log 0 live;
+    Array.fill t.log live (t.hi - live) vacant
+  end
+  else begin
+    let log = Array.make (max 16 (2 * Array.length t.log)) vacant in
+    Array.blit t.log t.lo log 0 live;
+    t.log <- log
+  end;
+  t.ap <- t.ap - t.lo;
+  t.hi <- live;
+  t.lo <- 0
+
 let offer t post =
   if t.quarantined then invalid_arg "Profile.offer: profile is quarantined";
-  Queue.push post t.pending_q;
-  t.pending_n <- t.pending_n + 1;
+  if t.hi = Array.length t.log then make_room t;
+  t.log.(t.hi) <- post;
+  t.hi <- t.hi + 1;
   t.acked <- t.acked + 1
 
 (* A recursion, not [List.iter]: this runs for every applied post, and an
@@ -141,22 +165,27 @@ let recover ?feed t =
         outcome.Feed.emissions
     | exception Feed.Rejected _ -> ()
   in
-  List.iter replay (List.rev t.journal_rev);
+  for i = t.lo to t.ap - 1 do
+    replay t.log.(i)
+  done;
   t.emit_seq <- !seq;
-  let kept_ckpt =
-    List.filter (fun (s, _) -> s > t.reported_upto) t.ckpt_buffer
+  let kept_ckpt_rev =
+    List.filter (fun (s, _) -> s > t.reported_upto) t.ckpt_buffer_rev
   in
-  t.buffer_rev <- !replayed_rev @ List.rev kept_ckpt
+  t.buffer_rev <- !replayed_rev @ kept_ckpt_rev
 
+(* The unreported buffer is shared, not copied: both lists are immutable
+   and newest first. The journal's slots are cleared so the checkpointed
+   posts are not kept alive by the log. *)
 let checkpoint_now t =
   t.ckpt <- Feed.checkpoint t.feed;
   t.ckpt_emit_seq <- t.emit_seq;
-  t.ckpt_buffer <- List.rev t.buffer_rev;
-  t.journal_rev <- [];
-  t.journal_n <- 0
+  t.ckpt_buffer_rev <- t.buffer_rev;
+  Array.fill t.log t.lo (t.ap - t.lo) vacant;
+  t.lo <- t.ap
 
 let maybe_auto_checkpoint t =
-  if t.config.checkpoint_every > 0 && t.journal_n >= t.config.checkpoint_every
+  if t.config.checkpoint_every > 0 && t.ap - t.lo >= t.config.checkpoint_every
   then checkpoint_now t
 
 (* Apply one post, recovering from any crash. The first attempt runs the
@@ -170,8 +199,8 @@ let rec apply_with_recovery t ~chaos ~use_chaos post =
     apply_post t post
   with
   | () ->
-    t.journal_rev <- post :: t.journal_rev;
-    t.journal_n <- t.journal_n + 1;
+    (* the post moves from the pending range to the journal *)
+    t.ap <- t.ap + 1;
     true
   | exception _ ->
     t.crashes <- t.crashes + 1;
@@ -185,12 +214,9 @@ let rec apply_with_recovery t ~chaos ~use_chaos post =
 let process ?(chaos = fun () -> ()) ?(budget = Util.Budget.unlimited) t =
   let applied0 = t.applied in
   (try
-     while (not t.quarantined) && t.pending_n > 0 do
+     while (not t.quarantined) && t.ap < t.hi do
        Util.Budget.step budget;
-       let post = Queue.peek t.pending_q in
-       if apply_with_recovery t ~chaos ~use_chaos:true post then begin
-         ignore (Queue.pop t.pending_q);
-         t.pending_n <- t.pending_n - 1;
+       if apply_with_recovery t ~chaos ~use_chaos:true t.log.(t.ap) then begin
          t.applied <- t.applied + 1;
          maybe_auto_checkpoint t
        end
@@ -240,16 +266,16 @@ let blob t =
   ints "limits" [ t.config.checkpoint_every; t.config.max_restarts ];
   str "sub "; Feed.add_labels b t.subscription; nl ();
   str "ckpt "; Util.Fs.add_escaped b t.ckpt; nl ();
-  ints "cb" [ List.length t.ckpt_buffer ];
+  ints "cb" [ List.length t.ckpt_buffer_rev ];
   List.iter
     (fun (seq, e) ->
       str "e "; Util.Fs.add_int b seq; sp (); Util.Fs.add_float_bits b e.Online.emit_time; sp ();
       Feed.add_post b e.Online.post; nl ())
-    t.ckpt_buffer;
-  ints "j" [ t.journal_n ];
-  List.iter post_line (List.rev t.journal_rev);
-  ints "pq" [ t.pending_n ];
-  Queue.iter post_line t.pending_q;
+    (List.rev t.ckpt_buffer_rev);
+  ints "j" [ t.ap - t.lo ];
+  for i = t.lo to t.ap - 1 do post_line t.log.(i) done;
+  ints "pq" [ t.hi - t.ap ];
+  for i = t.ap to t.hi - 1 do post_line t.log.(i) done;
   Buffer.contents b
 
 let of_blob s =
@@ -305,8 +331,7 @@ let of_blob s =
       max_restarts;
     }
   in
-  let pending_q = Queue.create () in
-  List.iter (fun p -> Queue.push p pending_q) pending;
+  let log = Array.of_list (journal @ pending) in
   let t =
     {
       name;
@@ -318,11 +343,11 @@ let of_blob s =
       feed;
       ckpt;
       ckpt_emit_seq;
-      ckpt_buffer;
-      journal_rev = List.rev journal;
-      journal_n = List.length journal;
-      pending_q;
-      pending_n = List.length pending;
+      ckpt_buffer_rev = List.rev ckpt_buffer;
+      log;
+      lo = 0;
+      ap = List.length journal;
+      hi = Array.length log;
       emit_seq = 0;
       reported_upto;
       buffer_rev = [];

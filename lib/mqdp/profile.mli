@@ -6,7 +6,9 @@
     The durability contract is the heart of the serving layer:
 
     - {!offer} {e acknowledges} a post by appending it to the profile's
-      pending journal — a plain queue that no crash path ever touches;
+      post log — an array that no crash path ever touches, holding the
+      journal (applied since the last checkpoint) and then the pending
+      posts; offering and applying a post allocate nothing here;
     - {!process} applies pending posts to the live feed one at a time.
       A caller-supplied [chaos] hook runs {e before} each application, so
       an injected crash can only fire between posts — the feed is never
@@ -28,7 +30,7 @@
     client already saw.
 
     {!blob}/{!of_blob} serialize the durable state only — checkpoint,
-    journal, pending queue, watermarks, counters. [of_blob] rebuilds the
+    journal, pending posts, watermarks, counters. [of_blob] rebuilds the
     live feed through the same recovery path a crash uses, which is what
     lets a shard restart simulate (and survive) process death. *)
 

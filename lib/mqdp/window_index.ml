@@ -331,6 +331,15 @@ let id t w =
   check_wpos t "id" w;
   Flat.Ints.get_u t.pids (t.phead + w - t.pbase)
 
+(* The bits are split here, where the float is an unboxed local: passed
+   to a writer in another module it would be boxed first. *)
+let add_value_bits b t w =
+  check_wpos t "add_value_bits" w;
+  let bits = Int64.bits_of_float (A1.unsafe_get (Flat.Floats.unsafe_buf t.pval) (t.phead + w - t.pbase)) in
+  Util.Fs.add_hex_halves b
+    (Int64.to_int (Int64.shift_right_logical bits 32))
+    (Int64.to_int bits land 0xffff_ffff)
+
 let iter_labels t w f =
   check_wpos t "iter_labels" w;
   let g = t.phead + w in

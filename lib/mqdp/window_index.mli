@@ -96,6 +96,11 @@ val value : t -> int -> float
 
 val id : t -> int -> int
 
+(** [add_value_bits b t w] appends {!Util.Fs.add_float_bits} of
+    [value t w] without boxing the value: the checkpoint writer's read of
+    a window post's timestamp. *)
+val add_value_bits : Buffer.t -> t -> int -> unit
+
 (** [post t w] reconstructs the post at window position [w]
     (allocates; for export paths, not solve loops). *)
 val post : t -> int -> Post.t

@@ -1,4 +1,6 @@
-let lower_bound ~key xs x =
+(* [x : float]: the [.mli]'s type is not seen while this file compiles,
+   so unannotated the comparisons below would be polymorphic calls. *)
+let lower_bound ~key xs (x : float) =
   let rec loop lo hi =
     if lo >= hi then lo
     else begin
@@ -8,7 +10,7 @@ let lower_bound ~key xs x =
   in
   loop 0 (Array.length xs)
 
-let upper_bound ~key xs x =
+let upper_bound ~key xs (x : float) =
   let rec loop lo hi =
     if lo >= hi then lo
     else begin
@@ -26,8 +28,10 @@ let is_sorted ~cmp xs =
   loop 0
 
 (* Sift [a.(root)] down within [a.(0 .. hi-1)] under the max-heap order.
-   Tail recursion, no closure, no allocation. *)
-let rec heap_sift a hi root =
+   Tail recursion, no closure, no allocation. The [int array] annotation
+   is what makes each [<] an inline integer comparison: left polymorphic,
+   every comparison would be a call into the runtime's generic compare. *)
+let rec heap_sift (a : int array) hi root =
   let child = (2 * root) + 1 in
   if child < hi then begin
     let child =
@@ -43,7 +47,7 @@ let rec heap_sift a hi root =
     end
   end
 
-let sort_ints_prefix a len =
+let sort_ints_prefix (a : int array) len =
   if len < 0 || len > Array.length a then
     invalid_arg "Array_util.sort_ints_prefix: bad prefix length";
   for i = (len / 2) - 1 downto 0 do
@@ -56,7 +60,7 @@ let sort_ints_prefix a len =
     heap_sift a i 0
   done
 
-let sorted_ints_of_prefix a len =
+let sorted_ints_of_prefix (a : int array) len =
   if len < 0 || len > Array.length a then
     invalid_arg "Array_util.sorted_ints_of_prefix: bad prefix length";
   if len = 0 then []
@@ -77,8 +81,46 @@ let sorted_ints_of_prefix a len =
     !acc
   end
 
+let fill_keys (a : int array) tbl = Hashtbl.fold (fun k _ i -> a.(i) <- k; i + 1) tbl 0
+
 let sorted_keys tbl =
   let a = Array.make (Hashtbl.length tbl) 0 in
-  let n = Hashtbl.fold (fun k _ i -> a.(i) <- k; i + 1) tbl 0 in
+  let n = fill_keys a tbl in
   sort_ints_prefix a n;
   a
+
+(* --- Per-domain int scratch, on the pattern of [Fs.seal]'s buffer: each
+   domain reuses one array, a nested call (the scratch busy) gets a fresh
+   one, an exception releases it, and a scratch grown past
+   [scratch_cap] elements is dropped after use, so a domain retains at
+   most that much. --- *)
+
+type scratch = { mutable ints : int array; mutable busy : bool }
+
+let scratch_cap = 1 lsl 17
+let scratch = Domain.DLS.new_key (fun () -> { ints = Array.make 256 0; busy = false })
+
+let release s =
+  if Array.length s.ints > scratch_cap then s.ints <- Array.make 256 0;
+  s.busy <- false
+
+let with_scratch n f =
+  let s = Domain.DLS.get scratch in
+  if s.busy then f (Array.make n 0)
+  else begin
+    if Array.length s.ints < n then s.ints <- Array.make (max n (2 * Array.length s.ints)) 0;
+    s.busy <- true;
+    match f s.ints with
+    | r ->
+      release s;
+      r
+    | exception e ->
+      release s;
+      raise e
+  end
+
+let with_sorted_keys tbl f =
+  with_scratch (Hashtbl.length tbl) (fun a ->
+      let n = fill_keys a tbl in
+      sort_ints_prefix a n;
+      f a n)

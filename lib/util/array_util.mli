@@ -34,3 +34,16 @@ val sorted_ints_of_prefix : int array -> int -> int list
     entry per binding, so distinct when [tbl] was filled with
     [Hashtbl.replace]). Allocates the array and nothing else. *)
 val sorted_keys : (int, 'a) Hashtbl.t -> int array
+
+(** [with_scratch n f] is [f a] for an int array [a] of length at least
+    [n] with unspecified contents: this domain's reusable scratch, so a
+    steady stream of calls allocates nothing once the scratch has grown.
+    [a] belongs to [f] only until it returns. A call nested inside
+    another's [f] gets a fresh array; an exception from [f] releases the
+    scratch; a scratch grown past 2{^17} elements is dropped after use. *)
+val with_scratch : int -> (int array -> 'a) -> 'a
+
+(** [with_sorted_keys tbl f] is [f a n] where [a.(0) .. a.(n - 1)] are
+    the keys of [tbl], ascending, in {!with_scratch}'s array: {!sorted_keys}
+    without allocating the array. *)
+val with_sorted_keys : (int, 'a) Hashtbl.t -> (int array -> int -> 'b) -> 'b

@@ -107,6 +107,12 @@ val add_int : Buffer.t -> int -> unit
     their checksums in this form. *)
 val add_hex64 : Buffer.t -> int64 -> unit
 
+(** [add_hex_halves b hi lo] appends [add_hex64] of the 64-bit word whose
+    high and low 32-bit halves are [hi] and [lo] (each in [0, 2{^32})):
+    a writer for callers that split a word themselves so that no int64
+    or float is boxed on its way here. *)
+val add_hex_halves : Buffer.t -> int -> int -> unit
+
 (** [add_float_bits b f] appends the IEEE-754 bit pattern of [f] as 16
     lowercase hex digits (["%016Lx"] of [Int64.bits_of_float f]), so
     every float, NaN payloads and [-0.] included, round-trips exactly. *)

@@ -48,30 +48,25 @@ let push h x =
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let root = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      (* Overwrite the vacated slot with a live element so the popped one
-         becomes unreachable — otherwise large picks/closures stay pinned
-         by the backing array (a space leak under push/pop churn). *)
-      h.data.(h.size) <- h.data.(0);
-      sift_down h 0
-    end
-    else
-      (* Popping the last element: drop the backing array entirely; there
-         is no live element to overwrite the slot with. *)
-      h.data <- [||];
-    Some root
-  end
-
 let pop_exn h =
-  match pop h with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
+  if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
+  let root = h.data.(0) in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    (* Overwrite the vacated slot with a live element so the popped one
+       becomes unreachable — otherwise large picks/closures stay pinned
+       by the backing array (a space leak under push/pop churn). *)
+    h.data.(h.size) <- h.data.(0);
+    sift_down h 0
+  end
+  else
+    (* Popping the last element: drop the backing array entirely; there
+       is no live element to overwrite the slot with. *)
+    h.data <- [||];
+  root
+
+let pop h = if h.size = 0 then None else Some (pop_exn h)
 
 let of_list cmp xs =
   let data = Array.of_list xs in

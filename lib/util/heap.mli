@@ -26,7 +26,9 @@ val peek : 'a t -> 'a option
     element does not stay reachable through the heap. *)
 val pop : 'a t -> 'a option
 
-(** [pop_exn h] is [pop] but raises [Invalid_argument] when empty. *)
+(** [pop_exn h] is [pop] without the option: it removes and returns the
+    minimum element, allocating nothing, and raises [Invalid_argument]
+    when empty. *)
 val pop_exn : 'a t -> 'a
 
 (** [drain h] pops every element, returning them in ascending order. *)

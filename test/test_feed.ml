@@ -526,9 +526,10 @@ let big_window_feed ~seed =
   feed
 
 (* Reusing the per-domain seal buffer and writing tokens in place leaves
-   a checkpoint allocating its image, the sorted id arrays and little
-   else: 1.39x the 20 KiB image here, where the sprintf codec allocated
-   150x. The 3x bound leaves room for other compilers and runtimes. *)
+   a checkpoint allocating its image and a constant: 1.0x the 20 KiB
+   image here, where the sprintf codec allocated 150x. The 3x bound
+   leaves room for other compilers and runtimes; test_checkpoint.ml
+   bounds the constant itself. *)
 let test_checkpoint_allocation_bound () =
   let feed = big_window_feed ~seed:0 in
   let live = Mqdp.Window_index.size (Option.get (Mqdp.Feed.window feed)) in

@@ -17,6 +17,7 @@ let () =
       ("streaming", Test_streaming.suite);
       ("online", Test_online.suite);
       ("feed", Test_feed.suite);
+      ("checkpoint", Test_checkpoint.suite);
       ("proportional", Test_proportional.suite);
       ("metrics", Test_metrics.suite);
       ("solver", Test_solver.suite);

@@ -196,6 +196,29 @@ let sort_prefix_matches_stdlib =
       Array.blit prefix 0 reference 0 len;
       mine = reference)
 
+(* The scratch's keys are [sorted_keys]'s, with negative and large ids. *)
+let sorted_keys_in_scratch =
+  Helpers.qtest "with_sorted_keys = sorted_keys"
+    QCheck.(list_of_size Gen.(int_range 0 400) int)
+    (fun ids ->
+      let tbl = Hashtbl.create 16 in
+      List.iter (fun id -> Hashtbl.replace tbl id ()) ids;
+      let expected = Util.Array_util.sorted_keys tbl in
+      Util.Array_util.with_sorted_keys tbl (fun a n -> Array.sub a 0 n = expected)
+      && Array.to_list expected = List.sort_uniq Int.compare ids)
+
+(* One array per domain, reused; a nested call gets its own; an
+   exception releases it. *)
+let test_int_scratch_ownership () =
+  let with_scratch = Util.Array_util.with_scratch in
+  let first = with_scratch 8 Fun.id in
+  Alcotest.(check bool) "reused" true (with_scratch 8 Fun.id == first);
+  with_scratch 8 (fun outer ->
+      with_scratch 8 (fun inner -> Alcotest.(check bool) "nested gets its own" true (inner != outer)));
+  (try with_scratch 8 (fun _ -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check bool) "released by an exception" true (with_scratch 8 Fun.id == first);
+  Alcotest.(check bool) "grows" true (Array.length (with_scratch 5000 Fun.id) >= 5000)
+
 let test_rng_determinism () =
   let a = Util.Rng.create 1 and b = Util.Rng.create 1 in
   for _ = 1 to 100 do
@@ -1018,6 +1041,8 @@ let suite =
     Alcotest.test_case "bucket queue update/remove" `Quick test_bucket_update_remove;
     bucket_matches_model;
     sort_prefix_matches_stdlib;
+    sorted_keys_in_scratch;
+    Alcotest.test_case "int scratch ownership" `Quick test_int_scratch_ownership;
     Alcotest.test_case "running stats" `Quick test_running_stats;
     Alcotest.test_case "percentiles" `Quick test_percentile;
     Alcotest.test_case "histogram" `Quick test_histogram;
