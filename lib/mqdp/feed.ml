@@ -52,7 +52,7 @@ type t = {
   mutable ring : Post.t array;
   mutable head : int;
   mutable staged : int;
-  seen : (int, unit) Hashtbl.t;  (* ids ever admitted *)
+  seen : Util.Int_set.t;  (* ids ever admitted *)
   mutable watermark : float;  (* newest value released to the engine *)
   mutable high : float;  (* newest value ever admitted (reorder signal) *)
   mutable c_accepted : int;
@@ -92,14 +92,14 @@ let validate_config cfg =
   | Some b when b < 1 -> invalid_arg "Feed.create: overload_budget < 1"
   | Some _ | None -> ()
 
-let make cfg engine =
+let make ?(seen = Util.Int_set.create 0) cfg engine =
   {
     cfg;
     engine;
     ring = [||];
     head = 0;
     staged = 0;
-    seen = Hashtbl.create 256;
+    seen;
     watermark = neg_infinity;
     high = neg_infinity;
     c_accepted = 0;
@@ -181,7 +181,8 @@ let release t post =
    buffer in order with no sort. A reordered arrival shifts the later
    staged posts back one slot each, at most [reorder_window] of them. --- *)
 
-(* What a vacated slot holds, so no released post stays reachable. *)
+(* What a vacated slot holds, so no released post stays reachable; also
+   the fault policies' "no post" (see [triage]). *)
 let vacant = { Post.id = 0; value = 0.; labels = Label_set.empty }
 
 let staged_at t i = t.ring.((t.head + i) land (Array.length t.ring - 1))
@@ -220,17 +221,11 @@ let drain_over t limit =
   Util.Telemetry.set m_buffer_depth t.staged;
   shed_overload t acc
 
-type outcome = { admitted : Post.t option; emissions : Online.emission list }
-
-(* Every dropped post gets this one record: a drop allocates nothing. *)
-let dropped = { admitted = None; emissions = [] }
-
 (* The fault policies run in order — non-finite timestamp, duplicate id,
    late arrival — and a clamp hands the moved post on to the next check.
-   Each stage is a plain call rather than a tuple of (post, value)
-   threaded through one body, so an admitted post costs its outcome and
-   nothing else here. *)
-let rec push t post =
+   Each stage returns the post to admit, or [vacant] for a drop, so the
+   chain allocates nothing but a clamped copy. *)
+let rec triage t post =
   let value = post.Post.value in
   (* 1. Non-finite timestamps (includes NaN smuggled past Post.make via a
      record update). *)
@@ -241,7 +236,7 @@ let rec push t post =
     | Drop ->
       t.c_non_finite_dropped <- t.c_non_finite_dropped + 1;
       Util.Telemetry.incr m_non_finite_dropped;
-      dropped
+      vacant
     | Clamp ->
       let v = if t.watermark = neg_infinity then 0. else t.watermark in
       t.c_non_finite_clamped <- t.c_non_finite_clamped + 1;
@@ -250,19 +245,19 @@ let rec push t post =
 
 (* 2. Duplicates: an id the frontend already admitted. *)
 and check_duplicate t post =
-  if not (Hashtbl.mem t.seen post.Post.id) then check_late t post
+  if not (Util.Int_set.mem t.seen post.Post.id) then check_late t post
   else
     match t.cfg.duplicate with
     | Raise -> reject t ~id:post.Post.id "duplicate id"
     | Drop | Clamp ->
       t.c_duplicate_dropped <- t.c_duplicate_dropped + 1;
       Util.Telemetry.incr m_duplicate_dropped;
-      dropped
+      vacant
 
 (* 3. Late: older than the release watermark — beyond what the reorder
    buffer can absorb. *)
 and check_late t post =
-  if post.Post.value >= t.watermark then admit t post
+  if post.Post.value >= t.watermark then post
   else
     match t.cfg.late with
     | Raise ->
@@ -271,14 +266,14 @@ and check_late t post =
     | Drop ->
       t.c_late_dropped <- t.c_late_dropped + 1;
       Util.Telemetry.incr m_late_dropped;
-      dropped
+      vacant
     | Clamp ->
       t.c_late_clamped <- t.c_late_clamped + 1;
       Util.Telemetry.incr m_late_clamped;
-      admit t { post with Post.value = t.watermark }
+      { post with Post.value = t.watermark }
 
-and admit t post =
-  Hashtbl.replace t.seen post.Post.id ();
+let admit t post =
+  Util.Int_set.add t.seen post.Post.id;
   t.c_accepted <- t.c_accepted + 1;
   Util.Telemetry.incr m_accepted;
   if post.Post.value < t.high then begin
@@ -288,8 +283,20 @@ and admit t post =
   else t.high <- post.Post.value;
   stage t post;
   Util.Telemetry.set m_buffer_depth t.staged;
-  let emissions = drain_over t t.cfg.reorder_window in
-  { admitted = Some post; emissions }
+  drain_over t t.cfg.reorder_window
+
+let push_emissions t post =
+  let post = triage t post in
+  if post == vacant then [] else admit t post
+
+type outcome = { admitted : Post.t option; emissions : Online.emission list }
+
+(* Every dropped post gets this one record. *)
+let dropped = { admitted = None; emissions = [] }
+
+let push t post =
+  let post = triage t post in
+  if post == vacant then dropped else { admitted = Some post; emissions = admit t post }
 
 let finish t =
   let es = drain_over t 0 in
@@ -434,7 +441,7 @@ let add_window b w =
 
 (* Written token by token into the seal buffer, allocating the image and
    a constant: the id lists are sorted in the per-domain int scratch
-   ({!Util.Array_util.with_sorted_keys}), the staged posts are already in
+   ({!Util.Int_set.with_sorted}), the staged posts are already in
    order, the engine's state is read in place rather than exported, and
    the window is read out of its storage. *)
 let checkpoint t =
@@ -464,7 +471,7 @@ let checkpoint t =
   Buffer.add_char b ' ';
   Util.Fs.add_float_bits b t.high;
   Buffer.add_char b '\n';
-  Util.Array_util.with_sorted_keys t.seen (add_ids b "seen");
+  Util.Int_set.with_sorted t.seen (add_ids b "seen");
   Buffer.add_string b "buffer ";
   Util.Fs.add_int b t.staged;
   Buffer.add_char b '\n';
@@ -617,10 +624,10 @@ let restore text =
   let engine =
     try Online.import ?window snapshot with Invalid_argument m -> corrupt "%s" m
   in
-  let t = make cfg engine in
+  let t = make ~seen:(Util.Int_set.create (Array.length seen)) cfg engine in
   t.watermark <- watermark;
   t.high <- high;
-  Array.iter (fun id -> Hashtbl.replace t.seen id ()) seen;
+  Array.iter (Util.Int_set.add t.seen) seen;
   List.iter (stage t) staged;
   t.c_accepted <- cnt.(0);
   t.c_released <- cnt.(1);

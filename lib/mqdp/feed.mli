@@ -92,6 +92,12 @@ type outcome = {
     when a fault class is configured to [Raise]. *)
 val push : t -> Post.t -> outcome
 
+(** [push_emissions t post] is [(push t post).emissions] without the
+    outcome record: a dropped post returns [[]], and an admitted post the
+    engine covers allocates nothing. The path {!Profile} applies posts
+    by. *)
+val push_emissions : t -> Post.t -> Online.emission list
+
 (** [finish t] — release the whole reorder buffer and drain the engine.
     Like {!Online.finish}, the frontend stays usable afterwards. *)
 val finish : t -> Online.emission list

@@ -99,6 +99,21 @@ let disjoint a b =
   let rec loop i = i >= len || (a.(i) land b.(i) = 0 && loop (i + 1)) in
   loop 0
 
+(* [c] is trimmed, so it has no more words than [a ∩ b] has before
+   trimming; past its end, [a ∩ b] must be zero. A loop, as in [subset]:
+   the fan-out asks this once per delivery. *)
+let inter_equal a b c =
+  let len = min (Array.length a) (Array.length b) and lc = Array.length c in
+  lc <= len
+  &&
+  let i = ref 0 in
+  while
+    !i < len && a.(!i) land b.(!i) = if !i < lc then Array.unsafe_get c !i else 0
+  do
+    incr i
+  done;
+  !i = len
+
 (* Trailing zero words are trimmed, so word arrays of equal sets have
    equal lengths and word-wise equality is set equality. The comparator
    orders by length first and then word-wise — the same order the

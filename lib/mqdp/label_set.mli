@@ -27,6 +27,10 @@ val subset : t -> t -> bool
 (** [disjoint a b] is [is_empty (inter a b)] without allocating. *)
 val disjoint : t -> t -> bool
 
+(** [inter_equal a b c] is [equal (inter a b) c], compared word by word
+    without building the intersection or a closure. *)
+val inter_equal : t -> t -> t -> bool
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

@@ -25,7 +25,7 @@ type t = {
   mode : mode;
   states : (Label.t, label_state) Hashtbl.t;
   mutable heap : (float * Label.t) Util.Heap.t;
-  emitted : (int, unit) Hashtbl.t;  (* distinct emitted post ids *)
+  emitted : Util.Int_set.t;  (* distinct emitted post ids *)
   arrival : arrival;
   mutable arrived : bool;
   degraded : (Label.t, unit) Hashtbl.t;  (* labels demoted to instant handling *)
@@ -54,7 +54,8 @@ let heap_cmp (da, a) (db, b) =
   let c = Float.compare da db in
   if c <> 0 then c else Int.compare a b
 
-let create ?window ~lambda mode =
+(* [emitted]: how many emitted ids to size the set for. *)
+let make ~emitted ?window ~lambda mode =
   if lambda < 0. then invalid_arg "Online.create: negative lambda";
   (match mode with
   | Delayed { tau; _ } when tau < 0. -> invalid_arg "Online.create: negative tau"
@@ -72,7 +73,7 @@ let create ?window ~lambda mode =
     mode;
     states = Hashtbl.create 16;
     heap = Util.Heap.create heap_cmp;
-    emitted = Hashtbl.create 64;
+    emitted = Util.Int_set.create emitted;
     arrival = { last = neg_infinity };
     arrived = false;
     degraded = Hashtbl.create 4;
@@ -80,6 +81,7 @@ let create ?window ~lambda mode =
     window;
   }
 
+let create ?window ~lambda mode = make ~emitted:0 ?window ~lambda mode
 let window t = t.window
 let lambda t = t.lambda
 let mode t = t.mode
@@ -158,7 +160,7 @@ let refresh_deadline t a =
   end
 
 let record_emission t out post emit_time =
-  Hashtbl.replace t.emitted post.Post.id ();
+  Util.Int_set.add t.emitted post.Post.id;
   out := { post; emit_time } :: !out
 
 (* The two coverage primitives the engine shares with the window mirror.
@@ -308,7 +310,7 @@ let arrival_instant t post =
   done;
   if !covered then []
   else begin
-    Hashtbl.replace t.emitted post.Post.id ();
+    Util.Int_set.add t.emitted post.Post.id;
     for wi = 0 to words - 1 do
       let word = Label_set.word labels wi in
       for bit = 0 to Label_set.bits_per_word - 1 do
@@ -361,7 +363,7 @@ let finish t =
   fire_due t out ~until:infinity ~inclusive:true;
   in_emit_order !out
 
-let emitted_count t = Hashtbl.length t.emitted
+let emitted_count t = Util.Int_set.length t.emitted
 
 let deadline_queue_length t = Util.Heap.length t.heap
 
@@ -407,7 +409,7 @@ let degrade_earliest t ~now =
       credit_emission t latest;
       Some (a, List.length rest, sort_emissions (List.rev !out)))
 
-let with_emitted t f = Util.Array_util.with_sorted_keys t.emitted f
+let with_emitted t f = Util.Int_set.with_sorted t.emitted f
 let with_degraded t f = Util.Array_util.with_sorted_keys t.degraded f
 
 (* The labels [export] lists: those with a pending post or an output. *)
@@ -441,7 +443,7 @@ let export t =
     snap_lambda = t.lambda;
     snap_mode = t.mode;
     snap_last_time = last_arrival t;
-    snap_emitted = Util.Array_util.sorted_keys t.emitted;
+    snap_emitted = with_emitted t (fun ids n -> Array.sub ids 0 n);
     snap_degraded = Util.Array_util.sorted_keys t.degraded;
     snap_labels;
   }
@@ -463,8 +465,10 @@ let import ?window s =
       | (p :: _), None -> ignore p; invalid_arg "Online.import: pending posts without arrivals"
       | _ -> ()))
     s.snap_labels;
-  let t = create ?window ~lambda:s.snap_lambda s.snap_mode in
-  Array.iter (fun id -> Hashtbl.replace t.emitted id ()) s.snap_emitted;
+  let t =
+    make ~emitted:(Array.length s.snap_emitted) ?window ~lambda:s.snap_lambda s.snap_mode
+  in
+  Array.iter (Util.Int_set.add t.emitted) s.snap_emitted;
   Array.iter (fun a -> Hashtbl.replace t.degraded a ()) s.snap_degraded;
   List.iter
     (fun ls ->

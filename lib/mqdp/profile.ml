@@ -138,8 +138,8 @@ let rec note_emissions t = function
    state is untouched, the post is consumed and counted. Replay reproduces
    the same rejection deterministically (without recounting). *)
 let apply_post t post =
-  match Feed.push t.feed post with
-  | outcome -> note_emissions t outcome.Feed.emissions
+  match Feed.push_emissions t.feed post with
+  | es -> note_emissions t es
   | exception Feed.Rejected _ -> t.rejected <- t.rejected + 1
 
 (* Rebuild the live feed from the checkpoint and replay the journal
@@ -156,13 +156,13 @@ let recover ?feed t =
   let seq = ref t.ckpt_emit_seq in
   let replayed_rev = ref [] in
   let replay post =
-    match Feed.push feed post with
-    | outcome ->
+    match Feed.push_emissions feed post with
+    | es ->
       List.iter
         (fun e ->
           incr seq;
           if !seq > t.reported_upto then replayed_rev := (!seq, e) :: !replayed_rev)
-        outcome.Feed.emissions
+        es
     | exception Feed.Rejected _ -> ()
   in
   for i = t.lo to t.ap - 1 do

@@ -55,6 +55,13 @@ type posting = {
 
 let no_entry = { e_name = ""; e_shard = -1; e_labels = Label_set.empty; e_stamp = -1 }
 
+(* What a free projection slot holds, so no post outlives its FEED. *)
+let no_post = { Post.id = 0; value = 0.; labels = Label_set.empty }
+
+(* Distinct cuts a FEED shares; a post cut more ways than this builds the
+   rest per delivery, so the search stays bounded. *)
+let max_cuts = 8
+
 (* One sequence space: the watermark and the retried-response cache. The
    engine owns a default session (stdin, replay, legacy callers); the
    concurrent transport creates one per connection or per HELLO id.
@@ -82,6 +89,11 @@ type t = {
   mutable picked : posting array;
   mutable cursors : int array;
   mutable matches : entry array;
+  (* This FEED's projections, [cuts.(0 .. n_cuts - 1)]: one post record
+     per distinct cut of the post by a subscription. Emptied when the
+     FEED starts and cleared when it ends. *)
+  cuts : Post.t array;
+  mutable n_cuts : int;
   reply : Buffer.t;  (* FEED and TICK acks *)
   default_session : session;
   sessions : (string, session) Hashtbl.t;
@@ -141,6 +153,8 @@ let create (config : config) =
     picked = [||];
     cursors = [||];
     matches = [||];
+    cuts = Array.make max_cuts no_post;
+    n_cuts = 0;
     reply = Buffer.create 64;
     default_session =
       {
@@ -439,6 +453,29 @@ let counts_ack t seq k1 v1 k2 v2 =
   Util.Fs.add_int b v2;
   Buffer.contents b
 
+(* The post as [sub] cuts it. Posts are immutable, so every subscriber
+   whose subscription holds all the post's labels shares the post
+   itself, and every subscriber with the same partial cut shares one
+   projected record. *)
+let projected t post sub =
+  let labels = post.Post.labels in
+  if Label_set.subset labels sub then post
+  else begin
+    let i = ref 0 in
+    while !i < t.n_cuts && not (Label_set.inter_equal labels sub t.cuts.(!i).Post.labels) do
+      incr i
+    done;
+    if !i < t.n_cuts then t.cuts.(!i)
+    else begin
+      let cut = { post with Post.labels = Label_set.inter labels sub } in
+      if t.n_cuts < max_cuts then begin
+        t.cuts.(t.n_cuts) <- cut;
+        t.n_cuts <- t.n_cuts + 1
+      end;
+      cut
+    end
+  end
+
 let handle_feed t seq id value labels =
   let post =
     try
@@ -451,6 +488,7 @@ let handle_feed t seq id value labels =
      posting directly; a post on several labels merges theirs,
      deduplicated by stamp. *)
   t.stamp <- t.stamp + 1;
+  t.n_cuts <- 0;
   let k = pick_postings t post.Post.labels in
   let single = k = 1 in
   let count = if single then t.picked.(0).count else merge_matches t k in
@@ -461,21 +499,14 @@ let handle_feed t seq id value labels =
     match Shard.find_exn t.shards.(e.e_shard) e.e_name with
     | exception Not_found -> ()
     | profile ->
-      (* Posts are immutable, so every profile whose subscription holds
-         all the post's labels shares the one record; the others get the
-         post projected onto their subscription. *)
-      let sub = Profile.subscription profile in
-      let offered =
-        if Label_set.subset post.Post.labels sub then post
-        else
-          Post.make ~id:post.Post.id ~value:post.Post.value
-            ~labels:(Label_set.inter post.Post.labels sub)
-      in
+      let offered = projected t post (Profile.subscription profile) in
       if not (Label_set.is_empty offered.Post.labels) then
         if Shard.offer t.shards.(e.e_shard) profile offered then incr delivered
         else incr shed
   done;
   if not single then Array.fill t.matches 0 count no_entry;
+  Array.fill t.cuts 0 t.n_cuts no_post;
+  t.n_cuts <- 0;
   Util.Telemetry.add m_acked !delivered;
   Util.Telemetry.add m_shed !shed;
   [ counts_ack t seq "delivered=" !delivered " shed=" !shed ]

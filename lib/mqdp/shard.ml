@@ -92,21 +92,25 @@ let offer t profile post =
     true
   end
 
+(* The walk allocates once per tick, not per profile: the [?budget]
+   option is built here, and a profile is looked up without [find_opt]'s
+   [Some]. *)
 let tick ?chaos ?deadline t =
   let budget =
     match (t.config.tick_steps, deadline) with
     | None, None -> Util.Budget.unlimited
     | max_steps, deadline -> Util.Budget.create ?deadline ?max_steps ()
   in
+  let some_budget = Some budget in
   let applied = ref 0 in
   let rec walk = function
     | [] -> ()
     | name :: rest ->
-      (match Hashtbl.find_opt t.table name with
-      | None -> ()
-      | Some profile ->
+      (match Hashtbl.find t.table name with
+      | exception Not_found -> ()
+      | profile ->
         if not (Profile.quarantined profile) then begin
-          let n = Profile.process ?chaos ~budget profile in
+          let n = Profile.process ?chaos ?budget:some_budget profile in
           applied := !applied + n;
           t.backlog <- t.backlog - n
         end);

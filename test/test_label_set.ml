@@ -150,9 +150,23 @@ let table_roundtrip =
       && Mqdp.Label.Table.count table
          = List.length (List.sort_uniq String.compare names))
 
+(* Over labels 0-130, three words: [c] the intersection itself, one
+   label more or less than it, or unrelated. *)
+let inter_equal_property =
+  Helpers.qtest "inter_equal a b c = equal (inter a b) c"
+    (QCheck.triple arb_labels arb_labels arb_labels)
+    (fun (xs, ys, zs) ->
+      let a = Ls.of_list xs and b = Ls.of_list ys and c = Ls.of_list zs in
+      let i = Ls.inter a b in
+      Ls.inter_equal a b c = Ls.equal i c
+      && Ls.inter_equal a b i
+      && List.for_all (fun z -> Ls.inter_equal a b (Ls.add z i) = Ls.mem z i) zs
+      && List.for_all (fun z -> not (Ls.inter_equal a b (Ls.remove z i)) || not (Ls.mem z i)) xs)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "Label.Table basics" `Quick test_label_table;
       table_roundtrip;
+      inter_equal_property;
     ]

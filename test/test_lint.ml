@@ -46,11 +46,13 @@ let test_no_polymorphic_compare () =
 (* The off-heap window path is the steady-state hot loop of every
    streaming solver: one boxed option per push or per solve round would
    re-introduce exactly the GC pressure the Flat/Window_index layer
-   exists to remove. Keep those two files option-free — sentinel values
-   (-1 positions, neg_infinity reaches) carry the absent cases. *)
+   exists to remove. Keep those files option-free, and the int set every
+   admitted post passes through: sentinel values (-1 positions,
+   neg_infinity reaches, min_int free slots) carry the absent cases. *)
 let window_path_sources =
   [
     Filename.concat ".." (Filename.concat "lib" (Filename.concat "util" "flat.ml"));
+    Filename.concat ".." (Filename.concat "lib" (Filename.concat "util" "int_set.ml"));
     Filename.concat ".." (Filename.concat "lib" (Filename.concat "mqdp" "window_index.ml"));
   ]
 

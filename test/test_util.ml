@@ -207,6 +207,53 @@ let sorted_keys_in_scratch =
       Util.Array_util.with_sorted_keys tbl (fun a n -> Array.sub a 0 n = expected)
       && Array.to_list expected = List.sort_uniq Int.compare ids)
 
+(* Int_set against a Hashtbl model: ids from a small range (so they
+   repeat), the extremes (min_int is the table's empty-slot marker),
+   zero and negatives, and enough distinct ids to double the table
+   several times. Every add is checked at once, every probe at the end. *)
+let int_set_matches_hashtbl =
+  let id =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, int_range (-40) 40);
+          (3, int);
+          (1, oneofl [ min_int; max_int; 0; -1; min_int + 1; max_int - 1 ]);
+        ])
+  in
+  Helpers.qtest ~count:300 "Int_set add/mem/length/with_sorted = Hashtbl"
+    QCheck.(
+      make
+        ~print:(fun (n, ids) ->
+          Printf.sprintf "create %d, add %s" n (String.concat " " (List.map string_of_int ids)))
+        Gen.(pair (int_range 0 64) (list_size (int_range 0 600) id)))
+    (fun (n, ids) ->
+      let set = Util.Int_set.create n and model = Hashtbl.create 16 in
+      let agrees x = Util.Int_set.mem set x = Hashtbl.mem model x in
+      List.for_all
+        (fun x ->
+          Util.Int_set.add set x;
+          Hashtbl.replace model x ();
+          Util.Int_set.mem set x && Util.Int_set.length set = Hashtbl.length model)
+        ids
+      && List.for_all agrees ids
+      && List.for_all agrees [ min_int; max_int; 0; -1; 1; 41; -41 ]
+      && Util.Int_set.with_sorted set (fun a k -> Array.sub a 0 k)
+         = Util.Array_util.sorted_keys model)
+
+(* An add that does not double the table allocates nothing, and a set
+   created for [n] ids holds them without doubling. *)
+let test_int_set_allocation () =
+  let set = Util.Int_set.create 300 in
+  let before = Gc.minor_words () in
+  for i = 1 to 300 do
+    Util.Int_set.add set (i * 7919)
+  done;
+  Util.Int_set.add set min_int;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "members" 301 (Util.Int_set.length set);
+  Alcotest.(check (float 0.)) "minor words for 301 adds" 0. words
+
 (* One array per domain, reused; a nested call gets its own; an
    exception releases it. *)
 let test_int_scratch_ownership () =
@@ -1110,4 +1157,7 @@ let suite =
     Alcotest.test_case "fault crash points" `Quick test_fault_crash_points;
     Alcotest.test_case "fault flip extremes" `Quick test_fault_flip_extremes;
     Alcotest.test_case "fault config validation" `Quick test_fault_validation;
+    int_set_matches_hashtbl;
+    Alcotest.test_case "Int_set adds allocate nothing below the doubling" `Quick
+      test_int_set_allocation;
   ]
